@@ -9,7 +9,8 @@
    outputs are compared exactly, so every benchmark run doubles as a
    differential test; the timing table then shows the asymptotic gap.
    A full Remat.Allocator.run per size records end-to-end per-phase
-   seconds and minor-heap words through Stats. *)
+   seconds and minor-heap words through Stats, and Verify.Check proves
+   that allocation, timed on its own. *)
 
 module Cfg = Iloc.Cfg
 module Gen = Fuzz.Gen
@@ -114,6 +115,9 @@ type row = {
   counters : (string * int) list;
       (** graph-build volume counters of the instrumented allocation
           (pairs emitted, duplicates dropped, overlay edges) *)
+  verify_s : float;
+      (** {!Verify.Check.routine} on the instrumented allocation, timed
+          outside every other phase *)
 }
 
 (* At and above [big_threshold] sizes run as this row instead: the flat
@@ -133,6 +137,7 @@ type big_row = {
       (** end-to-end flat allocation, per-phase (seconds, minor words,
           major words) summed over rounds *)
   bcounters : (string * int) list;  (** see {!row.counters} *)
+  bverify_s : float;  (** see {!row.verify_s} *)
 }
 
 exception Divergence of string
@@ -142,6 +147,26 @@ let check_equal what ok =
     raise
       (Divergence
          (Printf.sprintf "scale bench: old and new %s disagree" what))
+
+(* Prove [res] an allocation of [input] with the static checker; returns
+   the checker's seconds.  A rejection is a divergence like any other. *)
+let prove input (res : Remat.Allocator.result) =
+  let t0 = Unix.gettimeofday () in
+  let verdict =
+    Verify.Check.routine ~input ~output:res.Remat.Allocator.cfg
+      ~k_int:machine.Remat.Machine.k_int ~k_float:machine.Remat.Machine.k_float
+  in
+  let dt = Unix.gettimeofday () -. t0 in
+  match verdict with
+  | Ok _ -> dt
+  | Error es ->
+      raise
+        (Divergence
+           (Printf.sprintf
+              "scale bench: the static checker rejects the allocation of %s: \
+               %s"
+              input.Cfg.name
+              (String.concat "; " (List.map Verify.Error.to_string es))))
 
 (* Per-phase (seconds, minor words, major words) of one instrumented
    allocation, summed over spill rounds, in first-seen phase order. *)
@@ -258,6 +283,7 @@ let measure ~repeats ~target seed =
     (String.equal
        (Cfg.to_string res.Remat.Allocator.cfg)
        (Cfg.to_string res_batched.Remat.Allocator.cfg));
+  let verify_s = prove (cfg ()) res in
   let alloc = alloc_stats res in
   {
     target;
@@ -270,6 +296,7 @@ let measure ~repeats ~target seed =
       { simplify = new_simplify; select = new_select; coalesce = new_coalesce };
     alloc;
     counters = build_counters res_batched;
+    verify_s;
   }
 
 (* Dense liveness keeps |blocks| x |regs|-bit rows per family; at 100k
@@ -310,6 +337,7 @@ let measure_big ~repeats ~target seed =
      renumber were never meant for this tier; output identity is proven
      by the small tier's byte-compare and the A/B property tests. *)
   let res = Remat.Allocator.run ~mode ~machine cfg in
+  let bverify_s = prove cfg res in
   (* Up to the dense cutoff, re-run with the batched builder forced off
      and byte-compare: the CI smoke size (100k) then proves batched ≡
      incremental at a five-digit node count on every bench run.  Above
@@ -335,6 +363,7 @@ let measure_big ~repeats ~target seed =
     bphases = List.rev !phases;
     balloc = alloc_stats res;
     bcounters = build_counters res;
+    bverify_s;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -379,12 +408,12 @@ let pp ppf rows =
     rows;
   Format.fprintf ppf
     "@.full allocator (new), per-phase seconds (share of total), \
-     minor/major kwords:@.";
+     minor/major kwords, then the static checker's seconds:@.";
   List.iter
     (fun r ->
       Format.fprintf ppf "%8d |" r.target;
       pp_alloc ppf r.alloc r.counters;
-      Format.fprintf ppf "@.")
+      Format.fprintf ppf " | verify %.4fs@." r.verify_s)
     rows;
   Format.fprintf ppf "@."
 
@@ -408,12 +437,12 @@ let pp_big ppf rows =
     rows;
   Format.fprintf ppf
     "@.end-to-end flat allocation, per-phase seconds (share of total), \
-     minor/major kwords:@.";
+     minor/major kwords, then the static checker's seconds:@.";
   List.iter
     (fun r ->
       Format.fprintf ppf "%8d |" r.btarget;
       pp_alloc ppf r.balloc r.bcounters;
-      Format.fprintf ppf "@.")
+      Format.fprintf ppf " | verify %.4fs@." r.bverify_s)
     rows;
   Format.fprintf ppf "@."
 
@@ -650,7 +679,8 @@ let default_sizes = [ 1000; 5000; 20000; 100_000; 1_000_000 ]
 
 (* Entry point shared by bench/main.exe and `ralloc bench scale`.
    Returns the process exit code: 0 clean, 1 on an old/new divergence, a
-   flat-vs-structured mismatch, or a --check regression. *)
+   flat-vs-structured mismatch, a static-checker rejection, or a --check
+   regression. *)
 let run ?(sizes = default_sizes) ?(repeats = 3) ?(seed = 42) ?out ?check_file
     ppf =
   let small_sizes, big_sizes =

@@ -569,7 +569,14 @@ let bench_cmd =
             end;
             if !failed then exit 1
         | "race" ->
-            let rows = Suite.Report.race ~repeats:(max 1 repeats) () in
+            let rows =
+              match Suite.Report.race ~repeats:(max 1 repeats) () with
+              | rows -> rows
+              | exception Remat.Allocator.Verification_error msgs ->
+                  Fmt.epr "; bench race: FAIL: %s@."
+                    (String.concat "\n  " msgs);
+                  exit 1
+            in
             Suite.Report.pp_race Format.std_formatter rows;
             let out = Option.value out ~default:"BENCH_race.json" in
             let oc = open_out out in
@@ -577,8 +584,8 @@ let bench_cmd =
             output_char oc '\n';
             close_out oc;
             Fmt.epr "; bench race: wrote %s@." out;
-            (* Both pipelines allocated every kernel and simulated to the
-               same outcome inside [race]; a divergence raises there. *)
+            (* Both pipelines allocated every kernel and the static
+               checker proved both allocations inside [race]. *)
             List.iter
               (fun r ->
                 if r.Suite.Report.ssa_cycles <= 0 || r.Suite.Report.briggs_cycles <= 0
@@ -694,9 +701,10 @@ let bench_cmd =
      throughput and cache counters to BENCH_serve.json; exits non-zero on \
      any error response, any non-incremental rebuild on the incremental \
      path, or a hit rate below --min-hit-rate.  $(b,race) runs both full \
-     pipelines on every workload kernel and writes per-kernel dynamic \
-     cycles, allocation time, spills and coalesced copies to \
-     BENCH_race.json."
+     pipelines on every workload kernel, proves both allocations with the \
+     static checker, and writes per-kernel dynamic cycles, allocation \
+     time, spills and coalesced copies to BENCH_race.json; exits non-zero \
+     on a rejection."
   in
   Cmd.v (Cmd.info "bench" ~doc)
     Term.(

@@ -400,12 +400,29 @@ let race ?(machine = Machine.standard) ?(repeats = 5)
     done;
     (Option.get !result, !best)
   in
+  (* Outside the timing loop: a proof costs about what the allocation
+     does, and the race times allocation alone. *)
+  let prove kernel mode cfg (r : Remat.Allocator.result) =
+    match
+      Verify.Check.routine ~input:cfg ~output:r.Remat.Allocator.cfg
+        ~k_int:machine.Machine.k_int ~k_float:machine.Machine.k_float
+    with
+    | Ok _ -> ()
+    | Error es ->
+        raise
+          (Remat.Allocator.Verification_error
+             (Printf.sprintf "race: the %s allocation of kernel %s is rejected"
+                (Mode.to_string mode) kernel.Kernels.name
+             :: List.map Verify.Error.to_string es))
+  in
   let briggs_mode, ssa_mode = modes in
   List.map
     (fun kernel ->
       let cfg = Kernels.cfg_of ~optimize:true kernel in
       let briggs, briggs_alloc_s = best_time briggs_mode cfg in
       let ssa, ssa_alloc_s = best_time ssa_mode cfg in
+      prove kernel briggs_mode cfg briggs;
+      prove kernel ssa_mode cfg ssa;
       let cycles (r : Remat.Allocator.result) =
         Counts.cycles (run_counts r.Remat.Allocator.cfg)
       in

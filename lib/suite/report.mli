@@ -114,7 +114,11 @@ val race :
   race_row list
 (** Kernels are optimized before allocation, like {!measure}.  [modes]
     (default [(Briggs_remat, Ssa_remat)]) selects the two contenders —
-    pass [(No_remat, Ssa_no_remat)] to race the remat-blind variants. *)
+    pass [(No_remat, Ssa_no_remat)] to race the remat-blind variants.
+    After timing, {!Verify.Check.routine} proves both allocations of
+    every kernel; a rejection raises
+    {!Remat.Allocator.Verification_error} whose first message names the
+    kernel and the mode. *)
 
 val pp_race : Format.formatter -> race_row list -> unit
 

@@ -267,6 +267,37 @@ let check_block ctx st (ib : Block.t) (ob : Block.t) =
 (* ------------------------------------------------------------------ *)
 (* Whole-routine checks.                                               *)
 
+(* Reverse postorder of the output's blocks by a depth-first search from
+   the entry over the cached successor lists, with an explicit stack so
+   that deep routines cannot overflow it; blocks the search misses
+   follow in id order.  Returns the order and each block's position in
+   it. *)
+let reverse_postorder (cfg : Cfg.t) =
+  let n = Cfg.n_blocks cfg in
+  let seen = Array.make n false in
+  let post = ref [] in
+  let entry = (Cfg.entry_block cfg).Block.id in
+  seen.(entry) <- true;
+  let stack = ref [ (entry, Cfg.succs cfg entry) ] in
+  while !stack <> [] do
+    match !stack with
+    | (b, s :: rest) :: tl ->
+        stack := (b, rest) :: tl;
+        if not seen.(s) then begin
+          seen.(s) <- true;
+          stack := (s, Cfg.succs cfg s) :: !stack
+        end
+    | (b, []) :: tl ->
+        post := b :: !post;
+        stack := tl
+    | [] -> ()
+  done;
+  let missed = List.filter (fun b -> not seen.(b)) (List.init n Fun.id) in
+  let order = Array.of_list (!post @ missed) in
+  let pos = Array.make n 0 in
+  Array.iteri (fun p b -> pos.(b) <- p) order;
+  (order, pos)
+
 let check_over_k ~k_int ~k_float ~name errs (output : Cfg.t) =
   let k_of r = match Reg.cls r with Reg.Int -> k_int | Reg.Float -> k_float in
   Cfg.iter_blocks
@@ -401,37 +432,61 @@ let routine ~(input : Cfg.t) ~(output : Cfg.t) ~k_int ~k_float =
     (* Fixpoint: propagate states silently until they stabilise.  The
        meet only shrinks states, so any check that would fail at the
        fixpoint also fails when re-run — errors are gathered in a
-       final, deterministic reporting pass. *)
+       final, deterministic reporting pass.  The schedule sweeps the
+       blocks in reverse postorder, walking each pending one; a block
+       made pending behind the sweep waits for the next sweep, which
+       starts from the lowest such block.  A block is pending at most
+       once, so one walk absorbs every shrink its predecessors made
+       meanwhile.  The transfer functions are monotone, so the fixpoint,
+       and with it every verdict, does not depend on the order. *)
     let in_states : State.t option array =
       Array.make (Cfg.n_blocks output) None
     in
     let anchored label = Hashtbl.mem in_labels label in
     let silent = make_ctx (fun _ -> ()) (fresh_stats ()) in
-    let pending = Queue.create () in
+    let order, pos = reverse_postorder output in
+    let n = Array.length order in
+    let pending = Array.make n false in
+    let cursor = ref 0 and behind = ref n in
     let propagate (label, st) =
       let id = (Hashtbl.find out_labels label).Block.id in
-      match in_states.(id) with
-      | None ->
-          in_states.(id) <- Some st;
-          Queue.add id pending
-      | Some old ->
-          let met = State.meet old st in
-          if not (State.equal met old) then begin
-            in_states.(id) <- Some met;
-            Queue.add id pending
-          end
+      let changed =
+        match in_states.(id) with
+        | None ->
+            in_states.(id) <- Some st;
+            true
+        | Some old when State.implied old st -> false
+        | Some old ->
+            in_states.(id) <- Some (State.meet old st);
+            true
+      in
+      if changed then begin
+        let p = pos.(id) in
+        pending.(p) <- true;
+        if p < !cursor && p < !behind then behind := p
+      end
     in
     if entry_ok then begin
       let entry = Cfg.entry_block output in
       if anchored entry.Block.label then
         propagate (entry.Block.label, State.empty)
     end;
-    while not (Queue.is_empty pending) do
-      let id = Queue.pop pending in
-      let ob = Cfg.block output id in
-      match (in_states.(id), Hashtbl.find_opt in_labels ob.Block.label) with
-      | Some st, Some ib -> List.iter propagate (check_block silent st ib ob)
-      | _ -> ()
+    while !cursor < n || !behind < n do
+      if !cursor = n then begin
+        cursor := !behind;
+        behind := n
+      end;
+      let p = !cursor in
+      incr cursor;
+      if pending.(p) then begin
+        pending.(p) <- false;
+        let ob = Cfg.block output order.(p) in
+        match
+          (in_states.(ob.Block.id), Hashtbl.find_opt in_labels ob.Block.label)
+        with
+        | Some st, Some ib -> List.iter propagate (check_block silent st ib ob)
+        | _ -> ()
+      end
     done;
     (* Reporting pass over the fixpoint states. *)
     let stats = fresh_stats () in

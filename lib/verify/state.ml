@@ -9,10 +9,27 @@ type t = {
 let empty =
   { eqs = Loc.Map.empty; exprs = Loc.Map.empty; consts = Reg.Map.empty }
 
-let equal a b =
-  Loc.Map.equal Reg.Set.equal a.eqs b.eqs
-  && Loc.Map.equal Instr.remat_equal a.exprs b.exprs
-  && Reg.Map.equal Instr.remat_equal a.consts b.consts
+(* [find] raising rather than [find_opt] boxing: the fixpoint calls
+   this once per edge, and a state it accepts is left untouched. *)
+let implied old st =
+  Loc.Map.for_all
+    (fun l s ->
+      match Loc.Map.find l st.eqs with
+      | s' -> Reg.Set.subset s s'
+      | exception Not_found -> false)
+    old.eqs
+  && Loc.Map.for_all
+       (fun l e ->
+         match Loc.Map.find l st.exprs with
+         | e' -> Instr.remat_equal e e'
+         | exception Not_found -> false)
+       old.exprs
+  && Reg.Map.for_all
+       (fun v c ->
+         match Reg.Map.find v st.consts with
+         | c' -> Instr.remat_equal c c'
+         | exception Not_found -> false)
+       old.consts
 
 let meet a b =
   let keep_equal _ x y =

@@ -34,8 +34,12 @@ type t
 val empty : t
 (** No facts: nothing can be proved from it, everything may be bound. *)
 
-val equal : t -> t -> bool
 val meet : t -> t -> t
+
+val implied : t -> t -> bool
+(** [implied old st]: every fact of [old] is already a fact of [st], so
+    [meet old st] would be [old] again.  When it is false, [meet old st]
+    is strictly smaller than [old]. *)
 
 val holds : t -> Reg.t -> Loc.t -> bool
 (** [holds st v l]: can [l] be proved to carry the current value of

@@ -198,6 +198,56 @@ let figure_tests =
           || res.Remat.Allocator.spilled_remat > 0));
   ]
 
+(* Report.race proves both families' allocations of every kernel. *)
+let race_tests =
+  [
+    tc "race proves and reports every kernel" (fun () ->
+        let rows = Suite.Report.race ~repeats:1 () in
+        check Alcotest.int "one row per kernel" (List.length kernels)
+          (List.length rows);
+        List.iter
+          (fun r ->
+            check Alcotest.bool
+              (r.Suite.Report.race_kernel.Suite.Kernels.name ^ " cycles")
+              true
+              (r.Suite.Report.briggs_cycles > 0
+              && r.Suite.Report.ssa_cycles > 0))
+          rows);
+    tc "race rejects a faulty allocation, naming kernel and family"
+      (fun () ->
+        let armed f =
+          Remat.Spill_code.fault_reload_skew := 1;
+          Fun.protect
+            ~finally:(fun () -> Remat.Spill_code.fault_reload_skew := 0)
+            f
+        in
+        match armed (fun () -> Suite.Report.race ~repeats:1 ()) with
+        | _ -> Alcotest.fail "race accepted skewed reloads"
+        | exception Remat.Allocator.Verification_error [] ->
+            Alcotest.fail "empty rejection"
+        | exception Remat.Allocator.Verification_error (first :: _) ->
+            let prefix = "race: the briggs allocation of kernel " in
+            let n = String.length prefix in
+            check Alcotest.string "family named" prefix
+              (String.sub first 0 (min n (String.length first)));
+            let rest = String.sub first n (String.length first - n) in
+            let name = List.hd (String.split_on_char ' ' rest) in
+            (* The named kernel really is rejected under the fault. *)
+            let cfg =
+              Suite.Kernels.cfg_of ~optimize:true (Suite.Kernels.find name)
+            in
+            let out =
+              armed (fun () ->
+                  (Remat.Allocator.run ~mode:Mode.Briggs_remat cfg)
+                    .Remat.Allocator.cfg)
+            in
+            check Alcotest.bool (name ^ " rejected") true
+              (Result.is_error
+                 (Verify.Check.routine ~input:cfg ~output:out
+                    ~k_int:Machine.standard.Machine.k_int
+                    ~k_float:Machine.standard.Machine.k_float)));
+  ]
+
 let () =
   Alcotest.run "suite"
     [
@@ -205,4 +255,5 @@ let () =
       ("reference", reference_tests);
       ("allocation", allocation_tests);
       ("figures", figure_tests);
+      ("race", race_tests);
     ]

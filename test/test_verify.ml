@@ -95,6 +95,29 @@ let fixture_tests =
               ignore
                 (alloc_verified ~what ~mode ~machine:Fuzz.Oracle.tight cfg))
             Remat.Mode.core
+        done;
+        (* Loop nests four deep at about 2k instructions: the shape of
+           the bench scale inputs, where the fixpoint revisits blocks
+           most. *)
+        let deep =
+          {
+            Fuzz.Gen.high_pressure with
+            Fuzz.Gen.max_depth = 4;
+            min_stmts = 28;
+            max_stmts = 28;
+          }
+        in
+        for seed = 0 to 2 do
+          let cfg = Fuzz.Gen.generate ~config:deep seed in
+          List.iter
+            (fun mode ->
+              let what =
+                Printf.sprintf "depth-4 seed %d under %s" seed
+                  (Remat.Mode.to_string mode)
+              in
+              ignore
+                (alloc_verified ~what ~mode ~machine:Fuzz.Oracle.tight cfg))
+            Remat.Mode.core
         done);
   ]
 
@@ -272,6 +295,106 @@ let hand_tests =
                  (fun (e : Verify.Error.t) ->
                    e.Verify.Error.kind = Verify.Error.Structure)
                  es));
+  ]
+
+(* --- a wrong fact that dies late in the fixpoint --- *)
+
+let routine name blocks =
+  Cfg.make ~name
+    (List.mapi
+       (fun id (label, body, term) -> Block.make ~id ~label ~body ~term ())
+       blocks)
+
+(* Source: a loop nest two deep whose outer latch shifts values through
+   copies, z <- y <- x <- n, while the inner loop prints z:
+
+     entry: a = 1; x = a + a; y = x; z = y; n = x + a; m = 2; i = 0; lim = 5
+     outer: j = 0
+     inner: print z; j = j + 1; t = j < m;   cbr t -> inner, latch
+     latch: z = y; y = x; x = n; i = i + 1; u = i < lim; cbr u -> outer, exit
+     exit:  ret z
+
+   The faulty allocation keeps x, y and z in r0 and drops every copy.
+   That is right for three outer trips (z keeps its entry value until
+   the third latch) and wrong from the fourth print on.  The checker's
+   facts for r0 at the outer header follow suit: {x, y, z} from the
+   entry, {y, z} after the first meet with the back edge, {z} after
+   the second, and nothing only after the third.  The faithful
+   allocation gives y and z their own registers and moves them. *)
+let shift_nest_input () =
+  let v n = Reg.make n Reg.Int in
+  let a = v 10 and x = v 11 and y = v 12 and z = v 13 and n = v 14
+  and m = v 15 and i = v 16 and lim = v 17 and j = v 18 and t = v 19
+  and u = v 20 in
+  routine "shift_nest"
+    [
+      ( "entry",
+        [
+          Instr.ldi a 1; Instr.add x a a; Instr.copy y x; Instr.copy z y;
+          Instr.add n x a; Instr.ldi m 2; Instr.ldi i 0; Instr.ldi lim 5;
+        ],
+        Instr.jmp "outer" );
+      ("outer", [ Instr.ldi j 0 ], Instr.jmp "inner");
+      ( "inner",
+        [ Instr.print_ z; Instr.addi j j 1; Instr.cmp Instr.Lt t j m ],
+        Instr.cbr t "inner" "latch" );
+      ( "latch",
+        [
+          Instr.copy z y; Instr.copy y x; Instr.copy x n; Instr.addi i i 1;
+          Instr.cmp Instr.Lt u i lim;
+        ],
+        Instr.cbr u "outer" "exit" );
+      ("exit", [], Instr.ret (Some z));
+    ]
+
+let shift_nest_output ~faithful =
+  let r n = Reg.make n Reg.Int in
+  let x = r 0 and a = r 1 and n = r 2 and i = r 3 and lim = r 4
+  and j = r 5 and t = r 6 and y = if faithful then r 7 else r 0
+  and z = if faithful then r 8 else r 0
+  and m = r 9 in
+  let moves l = if faithful then l else [] in
+  routine "shift_nest"
+    [
+      ( "entry",
+        [ Instr.ldi a 1; Instr.add x a a ]
+        @ moves [ Instr.copy y x; Instr.copy z y ]
+        @ [ Instr.add n x a; Instr.ldi m 2; Instr.ldi i 0; Instr.ldi lim 5 ],
+        Instr.jmp "outer" );
+      ("outer", [ Instr.ldi j 0 ], Instr.jmp "inner");
+      ( "inner",
+        [ Instr.print_ z; Instr.addi j j 1; Instr.cmp Instr.Lt t j m ],
+        Instr.cbr t "inner" "latch" );
+      ( "latch",
+        moves [ Instr.copy z y; Instr.copy y x; Instr.copy x n ]
+        @ [ Instr.addi i i 1; Instr.cmp Instr.Lt t i lim ],
+        Instr.cbr t "outer" "exit" );
+      ("exit", [], Instr.ret (Some z));
+    ]
+
+let fixpoint_tests =
+  [
+    tc "a fact that dies after the second outer meet is rejected" (fun () ->
+        let input = shift_nest_input () in
+        let faulty = shift_nest_output ~faithful:false in
+        let faithful = shift_nest_output ~faithful:true in
+        (* The fault is real: the simulator tells the two apart. *)
+        let prints cfg = (Testutil.run_ok cfg).Sim.Interp.prints in
+        check Alcotest.bool "faithful output agrees with the source" true
+          (prints faithful = prints input);
+        check Alcotest.bool "faulty output differs from the source" false
+          (prints faulty = prints input);
+        assert_verified ~what:"faithful shift nest" input faithful;
+        match verify input faulty with
+        | Ok _ -> Alcotest.fail "verifier accepted the dropped shift copies"
+        | Error es ->
+            let e = List.hd es in
+            check Alcotest.string "kind" "wrong-value"
+              (Verify.Error.kind_to_string e.Verify.Error.kind);
+            check
+              Alcotest.(option string)
+              "block" (Some "inner") e.Verify.Error.block;
+            check Alcotest.(option int) "index" (Some 0) e.Verify.Error.index);
   ]
 
 (* --- the two planted spill-code faults, caught with no simulator --- *)
@@ -516,6 +639,7 @@ let () =
     [
       ("fixtures", fixture_tests);
       ("hand", hand_tests);
+      ("fixpoint", fixpoint_tests);
       ("planted", planted_tests);
       ("gate", gate_tests);
     ]
