@@ -179,8 +179,9 @@ let bechamel () =
       Test.make ~name:"fig3/renumber-briggs"
         (Staged.stage (fun () ->
              ignore
-               (Remat.Renumber.run Remat.Mode.Briggs_remat
-                  (Iloc.Cfg.split_critical_edges fig1_cfg))));
+               (Remat.Renumber.run_flat Remat.Mode.Briggs_remat
+                  (Iloc.Flat.of_routine
+                     (Iloc.Cfg.split_critical_edges fig1_cfg)))));
       (* Figure 4 engine: the interpreter. *)
       Test.make ~name:"fig4/interp-tomcatv"
         (Staged.stage (fun () -> ignore (Sim.Interp.run tomcatv)));

@@ -82,13 +82,7 @@ let stmts_for ?(mk = config) ~target seed =
 (* The allocator's own preprocessing, up to the first build–coalesce:
    critical-edge splitting, loop analysis, renumbering. *)
 let fresh_ctx cfg =
-  let cfg0 = Cfg.split_critical_edges cfg in
-  let dom = Dataflow.Dominance.compute cfg0 in
-  let loops = Dataflow.Loops.compute cfg0 dom in
-  let rn = Remat.Renumber.run mode cfg0 in
-  Remat.Context.create ~mode ~machine ~loops ~tags:rn.Remat.Renumber.tags
-    ~split_pairs:rn.Remat.Renumber.split_pairs
-    ~stats:(Remat.Stats.create ()) rn.Remat.Renumber.cfg
+  fst (Remat.Allocator.front ~stats:(Remat.Stats.create ()) ~mode ~machine cfg)
 
 let time_min ~repeats f =
   let best = ref infinity in
@@ -262,18 +256,8 @@ let measure ~repeats ~target seed =
         ignore (Remat.Select.run g ~k ~order ~partners))
   in
   (* End-to-end allocation, instrumented: per-phase seconds and heap
-     words summed over spill rounds.  The same input also runs with the
-     flat substrate disabled and the two results are byte-compared, so
-     every benchmark run re-proves the flat path's output identity at
-     benchmark (not unit-test) sizes. *)
+     words summed over spill rounds. *)
   let res = Remat.Allocator.run ~mode ~machine (cfg ()) in
-  let res_struct =
-    Remat.Allocator.run ~mode ~machine ~use_flat:false (cfg ())
-  in
-  check_equal "flat vs structured allocations"
-    (String.equal
-       (Cfg.to_string res.Remat.Allocator.cfg)
-       (Cfg.to_string res_struct.Remat.Allocator.cfg));
   (* Small sizes default to the incremental builder; forcing the batched
      pipeline on the same input must not move a byte of the output. *)
   let res_batched =

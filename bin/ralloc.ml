@@ -396,13 +396,19 @@ let dot_cmd =
     or_die (fun () ->
         let cfg = prepare src opt_flag in
         if interference then begin
-          let rn = Remat.Renumber.run Remat.Mode.Briggs_remat
-              (Iloc.Cfg.split_critical_edges cfg) in
-          let live = Dataflow.Liveness.compute rn.Remat.Renumber.cfg in
-          let g = Remat.Interference.build rn.Remat.Renumber.cfg live in
+          let rn =
+            Remat.Renumber.run_flat Remat.Mode.Briggs_remat
+              (Iloc.Flat.of_routine (Iloc.Cfg.split_critical_edges cfg))
+          in
+          let fl = rn.Remat.Renumber.fl in
+          let g =
+            Remat.Interference.build_flat_boundary
+              (Dataflow.Reg_index.of_flat fl) fl
+              (Dataflow.Liveness.Boundary.compute fl)
+          in
           print_string
             (Remat.Dump.interference_to_string
-               ~split_pairs:rn.Remat.Renumber.split_pairs g)
+               ~split_pairs:rn.Remat.Renumber.f_split_pairs g)
         end
         else print_string (Iloc.Dot.cfg_to_string cfg))
   in

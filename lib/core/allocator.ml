@@ -75,7 +75,6 @@ let rewrite_physical (cfg : Cfg.t) (g : Interference.t)
    [ctx.cfg] in place and returns (rounds, spilled_memory, spilled_remat,
    spill_slots). *)
 let color_rounds ~name ~max_rounds (ctx : Context.t) =
-  let use_flat = ctx.Context.use_flat in
   let machine = ctx.Context.machine in
   let cfg = ctx.Context.cfg in
   let slot_counter = ref 0 in
@@ -154,41 +153,34 @@ let color_rounds ~name ~max_rounds (ctx : Context.t) =
               victims
         in
         Context.count ctx Stats.Spilled_ranges (List.length spilled_nodes);
-        let respliced = ref None in
-        Context.time ctx Stats.Spill (fun () ->
-            let spilled = List.map (Interference.reg g) spilled_nodes in
-            let st =
-              if use_flat then begin
-                (* Splice spill code into the arena, then write the
-                   result back through the structured view: blocks and
-                   edges are unchanged, only instruction lists move. *)
-                let st, fl =
-                  Spill_code.insert_flat (Context.flat ctx)
-                    ~tags:ctx.Context.tags ~infinite ~spilled ~slot_counter
-                in
-                let ncfg = Iloc.Flat.to_routine fl in
-                Cfg.iter_blocks
-                  (fun b ->
-                    let nb = Cfg.block ncfg b.Iloc.Block.id in
-                    b.Iloc.Block.body <- nb.Iloc.Block.body;
-                    b.Iloc.Block.term <- nb.Iloc.Block.term)
-                  cfg;
-                Reg.Supply.advance cfg.Cfg.supply fl.Iloc.Flat.supply_last;
-                respliced := Some fl;
-                st
-              end
-              else
-                Spill_code.insert cfg ~tags:ctx.Context.tags ~infinite ~spilled
-                  ~slot_counter
-            in
-            spilled_memory := !spilled_memory + st.Spill_code.memory_lrs;
-            spilled_remat := !spilled_remat + st.Spill_code.remat_lrs);
+        let respliced =
+          Context.time ctx Stats.Spill (fun () ->
+              let spilled = List.map (Interference.reg g) spilled_nodes in
+              (* Splice spill code into the arena, then write the result
+                 back through the structured view: blocks and edges are
+                 unchanged, only instruction lists move. *)
+              let st, fl =
+                Spill_code.insert_flat (Context.flat ctx)
+                  ~tags:ctx.Context.tags ~infinite ~spilled ~slot_counter
+              in
+              let ncfg = Iloc.Flat.to_routine fl in
+              Cfg.iter_blocks
+                (fun b ->
+                  let nb = Cfg.block ncfg b.Iloc.Block.id in
+                  b.Iloc.Block.body <- nb.Iloc.Block.body;
+                  b.Iloc.Block.term <- nb.Iloc.Block.term)
+                cfg;
+              Reg.Supply.advance cfg.Cfg.supply fl.Iloc.Flat.supply_last;
+              spilled_memory := !spilled_memory + st.Spill_code.memory_lrs;
+              spilled_remat := !spilled_remat + st.Spill_code.remat_lrs;
+              fl)
+        in
         (* Spill code changed the routine structurally: both derived
-           structures are rebuilt next round (the round's one build). *)
-        Context.invalidate ctx;
-        (* The spliced arena already equals the written-back routine;
+           structures are rebuilt next round (the round's one build).
+           The spliced arena already equals the written-back routine;
            keep it so the next round skips one re-encoding. *)
-        Option.iter (Context.set_flat ctx) !respliced;
+        Context.invalidate ctx;
+        Context.set_flat ctx respliced;
         round (r + 1)
   in
   let rounds = round 1 in
@@ -221,6 +213,7 @@ let verify_output ~input ~output ~(machine : Machine.t) =
    The flat-arena and batched-build machinery is specific to the
    interference-graph pipeline and does not apply here. *)
 let allocate_ssa ~verify ~mode ~machine ~max_rounds (input : Cfg.t) =
+  validate_input input;
   let stats = Stats.create () in
   let cfg0 = Cfg.split_critical_edges input in
   let r =
@@ -245,84 +238,82 @@ let allocate_ssa ~verify ~mode ~machine ~max_rounds (input : Cfg.t) =
     stats;
   }
 
-let allocate ?(verify = false) ?(mode = Mode.Briggs_remat)
-    ?(machine = Machine.standard) ?(max_rounds = 64) ?(use_flat = true)
-    ?batch_build (input : Cfg.t) =
+(* The front half (see the mli).  Renumber and the splitting schemes do
+   not add or remove blocks, so the loop depths computed here stay valid
+   throughout allocation — and for every skeleton-equal edit, which is
+   why a snapshot may hand its [loops] back in.  The renamed arena
+   equals an encode of the bridged routine, so it primes the context's
+   cache and saves one re-encoding. *)
+let front ?batch_build ?loops ~stats ~mode ~machine (input : Cfg.t) =
   validate_input input;
-  if Mode.is_ssa mode then allocate_ssa ~verify ~mode ~machine ~max_rounds input
-  else begin
-  let stats = Stats.create () in
   let cfg0 = Cfg.split_critical_edges input in
-  (* Control-flow analysis: dominators and loop structure.  Renumber and
-     the splitting schemes do not add or remove blocks, so loop depths
-     computed here remain valid throughout allocation. *)
   let loops =
-    Stats.time stats ~round:0 Stats.Cfa (fun () ->
-        let dom = Dataflow.Dominance.compute cfg0 in
-        Dataflow.Loops.compute cfg0 dom)
+    match loops with
+    | Some loops -> loops
+    | None ->
+        Stats.time stats ~round:0 Stats.Cfa (fun () ->
+            Dataflow.Loops.compute cfg0 (Dataflow.Dominance.compute cfg0))
   in
-  let renamed_fl = ref None in
-  let rn =
+  let rn, cfg =
     Stats.time stats ~round:0 Stats.Renum (fun () ->
-        if use_flat then begin
-          (* Flat-native renumbering: encode once, rename on the arena,
-             bridge the result back for the structured consumers
-             (splitting, rewrite, verification).  Output is
-             byte-identical to [Renumber.run] of the same routine. *)
-          let fr = Renumber.run_flat mode (Iloc.Flat.of_routine cfg0) in
-          renamed_fl := Some fr.Renumber.fl;
-          {
-            Renumber.cfg = Iloc.Flat.to_routine fr.Renumber.fl;
-            tags = fr.Renumber.f_tags;
-            split_pairs = fr.Renumber.f_split_pairs;
-            n_values = fr.Renumber.f_n_values;
-            n_live_ranges = fr.Renumber.f_n_live_ranges;
-          }
-        end
-        else Renumber.run mode cfg0)
+        let rn = Renumber.run_flat mode (Iloc.Flat.of_routine cfg0) in
+        (rn, Iloc.Flat.to_routine rn.Renumber.fl))
   in
   let ctx =
-    Context.create ~use_flat ?batch_build ~mode ~machine ~loops
-      ~tags:rn.Renumber.tags ~split_pairs:rn.Renumber.split_pairs ~stats
-      rn.Renumber.cfg
+    Context.create ?batch_build ~mode ~machine ~loops ~tags:rn.Renumber.f_tags
+      ~split_pairs:rn.Renumber.f_split_pairs ~stats cfg
   in
-  (* The renamed arena equals an encode of the bridged routine, so prime
-     the context's cache with it and skip one re-encoding.  Splitting
-     schemes invalidate the whole context when they rewrite the routine,
-     so a stale arena cannot survive them. *)
-  Option.iter (Context.set_flat ctx) !renamed_fl;
-  let cfg = ctx.Context.cfg in
-  (* §6 loop-boundary splitting schemes, layered after renumber. *)
-  (match Mode.loop_scheme mode with
-  | Some scheme -> Splitting.phase scheme ctx
-  | None -> ());
+  Context.set_flat ctx rn.Renumber.fl;
+  (ctx, rn)
+
+(* The back half: the spill-round loop on a prepared context, optional
+   verification, and the result record. *)
+let color ~verify ~max_rounds ~input (ctx : Context.t)
+    (rn : Renumber.flat_result) =
   let rounds, spilled_memory, spilled_remat, spill_slots =
     color_rounds ~name:input.Cfg.name ~max_rounds ctx
   in
+  let cfg = ctx.Context.cfg and machine = ctx.Context.machine in
   if verify then verify_output ~input ~output:cfg ~machine;
   {
     cfg;
-    mode;
+    mode = ctx.Context.mode;
     machine;
     rounds;
     spilled_memory;
     spilled_remat;
     spill_slots;
-    n_values = rn.Renumber.n_values;
-    n_live_ranges = rn.Renumber.n_live_ranges;
+    n_values = rn.Renumber.f_n_values;
+    n_live_ranges = rn.Renumber.f_n_live_ranges;
     coalesced_copies = ctx.Context.coalesced;
-    stats;
+    stats = ctx.Context.stats;
   }
+
+let allocate ?(verify = false) ?(mode = Mode.Briggs_remat)
+    ?(machine = Machine.standard) ?(max_rounds = 64) ?batch_build
+    (input : Cfg.t) =
+  if Mode.is_ssa mode then allocate_ssa ~verify ~mode ~machine ~max_rounds input
+  else begin
+    let ctx, rn =
+      front ?batch_build ~stats:(Stats.create ()) ~mode ~machine input
+    in
+    (* §6 loop-boundary splitting schemes, layered after renumber.  They
+       invalidate the whole context when they rewrite the routine, so a
+       stale arena cannot survive them. *)
+    Option.iter
+      (fun scheme -> Splitting.phase scheme ctx)
+      (Mode.loop_scheme mode);
+    color ~verify ~max_rounds ~input ctx rn
   end
 
 (* Incremental re-allocation.
 
    A snapshot captures everything a {e small edit} of the routine leaves
-   valid: the renumbered code (pristine, before any coalescing), global
-   liveness and the freshly built interference graph.  Liveness and the
-   graph depend only on which registers each instruction defines and
-   uses, on which instructions are copies, and on terminator targets —
-   never on immediate/offset payloads or source-operand order — so an
+   valid: the renumbered code (pristine, before any coalescing), its
+   boundary liveness and the freshly built interference graph.  Liveness
+   and the graph depend only on which registers each instruction defines
+   and uses, on which instructions are copies, and on terminator targets
+   — never on immediate/offset payloads or source-operand order — so an
    edit that preserves that skeleton (after renumbering) can skip the
    from-scratch liveness + build and go straight to coalescing on a
    private copy of the cached graph.
@@ -335,42 +326,51 @@ let allocate ?(verify = false) ?(mode = Mode.Briggs_remat)
    sound: primed caches are used only when they provably describe the
    edited routine too. *)
 
+type reuse = {
+  loops : Dataflow.Loops.t;
+  pristine : Cfg.t;  (* renumbered routine, bridged, before coloring *)
+  split_pairs : (Reg.t * Reg.t) list;
+  boundary : Dataflow.Liveness.Boundary.t;
+  graph : Interference.t;
+}
+
 type snapshot = {
   snap_mode : Mode.t;
   snap_machine : Machine.t;
-  snap_loops : Dataflow.Loops.t;
-  snap_cfg : Cfg.t;  (* pristine renumbered routine *)
-  snap_split_pairs : (Reg.t * Reg.t) list;
-  snap_live : Dataflow.Liveness.t;
-  snap_graph : Interference.t;
+  snap_reuse : reuse option;
+      (* [None] for the modes [allocate_incremental] declines: splitting
+         schemes rewrite the routine after renumber, staling liveness and
+         the graph before the first round, and the SSA pipeline never
+         consults an interference graph at all.  Their snapshots skip the
+         front half entirely. *)
 }
 
 let snapshot ?(mode = Mode.Briggs_remat) ?(machine = Machine.standard)
     (input : Cfg.t) =
-  validate_input input;
-  let cfg0 = Cfg.split_critical_edges input in
-  let dom = Dataflow.Dominance.compute cfg0 in
-  let loops = Dataflow.Loops.compute cfg0 dom in
-  let rn = Renumber.run mode cfg0 in
-  (* A throwaway context forces liveness and the graph through the same
-     code paths a structured allocation uses; nothing here mutates
-     [rn.cfg], so it is stored pristine. *)
-  let ctx =
-    Context.create ~use_flat:false ~mode ~machine ~loops ~tags:rn.Renumber.tags
-      ~split_pairs:rn.Renumber.split_pairs ~stats:(Stats.create ())
-      rn.Renumber.cfg
+  let snap_reuse =
+    if Mode.loop_scheme mode <> None || Mode.is_ssa mode then begin
+      validate_input input;
+      None
+    end
+    else begin
+      (* A throwaway context forces boundary liveness and the graph
+         through the same code paths an allocation uses; nothing here
+         mutates the bridged routine, so it is stored pristine.  The
+         context dies here, and with it the boundary scratch whose
+         buffers hold the stored rows: no later recomputation can
+         recycle them. *)
+      let ctx, _ = front ~stats:(Stats.create ()) ~mode ~machine input in
+      Some
+        {
+          loops = ctx.Context.loops;
+          pristine = ctx.Context.cfg;
+          split_pairs = ctx.Context.split_pairs;
+          boundary = Context.boundary ctx;
+          graph = Context.graph ctx;
+        }
+    end
   in
-  let live = Context.liveness ctx in
-  let graph = Context.graph ctx in
-  {
-    snap_mode = mode;
-    snap_machine = machine;
-    snap_loops = loops;
-    snap_cfg = rn.Renumber.cfg;
-    snap_split_pairs = rn.Renumber.split_pairs;
-    snap_live = live;
-    snap_graph = graph;
-  }
+  { snap_mode = mode; snap_machine = machine; snap_reuse }
 
 (* Opcode equality modulo the payloads liveness and the interference
    graph cannot observe.  Branch targets and symbol names are kept (they
@@ -423,72 +423,46 @@ let skeleton_equal (a : Cfg.t) (b : Cfg.t) =
 
 let allocate_incremental ?(verify = false) ?(max_rounds = 64)
     (snap : snapshot) (input : Cfg.t) =
-  validate_input input;
-  let mode = snap.snap_mode and machine = snap.snap_machine in
-  if Mode.loop_scheme mode <> None || Mode.is_ssa mode then None
-    (* Splitting schemes rewrite the routine after renumber, staling the
-       snapshot's liveness and graph before the first round; the SSA
-       pipeline never consults an interference-graph snapshot at all. *)
-  else begin
-    let stats = Stats.create () in
-    let cfg0 = Cfg.split_critical_edges input in
-    let rn =
-      Stats.time stats ~round:0 Stats.Renum (fun () -> Renumber.run mode cfg0)
-    in
-    if
-      not
-        (skeleton_equal snap.snap_cfg rn.Renumber.cfg
-        && List.equal
-             (fun (a, b) (c, d) -> Reg.equal a c && Reg.equal b d)
-             snap.snap_split_pairs rn.Renumber.split_pairs)
-    then None
-    else begin
-      let ctx =
-        Context.create ~use_flat:false ~mode ~machine ~loops:snap.snap_loops
-          ~tags:rn.Renumber.tags ~split_pairs:rn.Renumber.split_pairs ~stats
-          rn.Renumber.cfg
+  match snap.snap_reuse with
+  | None ->
+      validate_input input;
+      None
+  | Some base ->
+      let ctx, rn =
+        front ~loops:base.loops ~stats:(Stats.create ()) ~mode:snap.snap_mode
+          ~machine:snap.snap_machine input
       in
-      (* Prime the caches: liveness is shared read-only (no phase ever
-         writes a row), the graph is deep-copied because coalescing will
-         mutate it.  Round 1 then performs no Liveness_runs and no
-         Full_builds — the observable signature of the incremental
-         path. *)
-      ctx.Context.live <- Some snap.snap_live;
-      ctx.Context.graph <- Some (Interference.copy snap.snap_graph);
-      (* Pristine copy of the edited routine's renumbered form, captured
-         before coloring mutates [ctx.cfg]: the derived snapshot reuses
-         this run's liveness/graph for the {e edited} routine's future
-         edits. *)
-      let pristine = Cfg.copy rn.Renumber.cfg in
-      let rounds, spilled_memory, spilled_remat, spill_slots =
-        color_rounds ~name:input.Cfg.name ~max_rounds ctx
-      in
-      let cfg = ctx.Context.cfg in
-      if verify then verify_output ~input ~output:cfg ~machine;
-      let result =
-        {
-          cfg;
-          mode;
-          machine;
-          rounds;
-          spilled_memory;
-          spilled_remat;
-          spill_slots;
-          n_values = rn.Renumber.n_values;
-          n_live_ranges = rn.Renumber.n_live_ranges;
-          coalesced_copies = ctx.Context.coalesced;
-          stats;
-        }
-      in
-      let snap' =
-        { snap with snap_cfg = pristine; snap_split_pairs = rn.Renumber.split_pairs }
-      in
-      Some (result, snap')
-    end
-  end
+      if
+        not
+          (skeleton_equal base.pristine ctx.Context.cfg
+          && List.equal
+               (fun (a, b) (c, d) -> Reg.equal a c && Reg.equal b d)
+               base.split_pairs ctx.Context.split_pairs)
+      then None
+      else begin
+        (* Prime the caches.  Boundary liveness is shared read-only: no
+           phase writes a row, and once coalescing stales it this
+           context recomputes into its own fresh scratch, never into the
+           snapshot's rows.  The graph is deep-copied because coalescing
+           mutates it.  Round 1 then performs no Liveness_runs before
+           coalescing and no Full_builds — the observable signature of
+           the incremental path. *)
+        ctx.Context.boundary <- Some base.boundary;
+        ctx.Context.graph <- Some (Interference.copy base.graph);
+        (* Pristine copy of the edited routine's renumbered form,
+           captured before coloring mutates [ctx.cfg]: the derived
+           snapshot reuses the cached liveness/graph for the {e edited}
+           routine's future edits. *)
+        let pristine = Cfg.copy ctx.Context.cfg in
+        let res = color ~verify ~max_rounds ~input ctx rn in
+        let reuse =
+          { base with pristine; split_pairs = rn.Renumber.f_split_pairs }
+        in
+        Some (res, { snap with snap_reuse = Some reuse })
+      end
 
-let run ?mode ?machine ?max_rounds ?use_flat input =
-  allocate ?mode ?machine ?max_rounds ?use_flat input
+let run ?mode ?machine ?max_rounds input =
+  allocate ?mode ?machine ?max_rounds input
 
 let check (res : result) =
   let errs = ref [] in

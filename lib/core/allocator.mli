@@ -8,6 +8,11 @@
     [run] drives the whole loop for a chosen {!Mode} and {!Machine},
     threading a {!Context.t} through the phases so each one reads the
     cached liveness and interference graph instead of recomputing them.
+    Every Briggs-family allocation runs one substrate: renumbering,
+    liveness, graph construction and spill insertion work on the flat
+    arena ({!Iloc.Flat}); the structured routine is the bridged view
+    that coalescing, the splitting schemes, the physical rewrite and
+    verification edit.
     Per-phase wall times (Table 2) and event counters land in the
     context's {!Stats.t}.  On success the routine's registers have been
     rewritten to physical registers [r0 .. r(k_int-1)] /
@@ -49,27 +54,36 @@ val rewrite_physical :
     copy instructions whose source and destination received the same
     color — the deletions biased coloring works for). *)
 
+val front :
+  ?batch_build:bool ->
+  ?loops:Dataflow.Loops.t ->
+  stats:Stats.t ->
+  mode:Mode.t ->
+  machine:Machine.t ->
+  Iloc.Cfg.t ->
+  Context.t * Renumber.flat_result
+(** The allocation front half, shared by {!allocate}, {!snapshot} and
+    {!allocate_incremental}: validate the input (raising
+    {!Allocation_error}), split critical edges, compute loop structure
+    (timed as [Cfa]; skipped when [loops] is given), renumber on the
+    arena with {!Renumber.run_flat} and bridge the result (timed as
+    [Renum]), then create the context over the bridged routine with the
+    renamed arena primed as its {!Context.flat} cache.  Exposed so
+    benchmarks and tests start from exactly the allocator's context. *)
+
 val allocate :
   ?verify:bool ->
   ?mode:Mode.t ->
   ?machine:Machine.t ->
   ?max_rounds:int ->
-  ?use_flat:bool ->
   ?batch_build:bool ->
   Iloc.Cfg.t ->
   result
 (** [mode] defaults to {!Mode.Briggs_remat}, [machine] to
-    {!Machine.standard}, [max_rounds] to 64.  [use_flat] (default true)
-    runs liveness, interference construction and spill insertion on the
-    flat arena form ({!Iloc.Flat}); [false] keeps the structured path.
-    The two settings produce {e identical} output — same allocation,
-    same statistics — differing only in allocation behavior of the
-    phases themselves (checked by test_flat's A/B property).
-    [batch_build] forces the flat path's graph construction strategy
-    (batched vs. incremental — see
-    {!Interference.build_flat_boundary}); unset, the node count
-    decides.  Output is byte-identical either way.
-    The input routine must pass
+    {!Machine.standard}, [max_rounds] to 64.  [batch_build] forces the
+    graph construction strategy (batched vs. incremental — see
+    {!Interference.build_flat_boundary}); unset, the node count decides.
+    Output is byte-identical either way.  The input routine must pass
     {!Iloc.Validate.routine}; it is not mutated (allocation works on a
     critical-edge-split copy).  Raises {!Allocation_error} when the input
     is invalid or the round limit is hit, and
@@ -84,19 +98,25 @@ val allocate :
 
 type snapshot
 (** Everything a small edit of a routine leaves valid: the pristine
-    renumbered code, global liveness, and a freshly built interference
-    graph.  Liveness and the graph see only def/use registers, copies
-    and terminator targets — never immediate payloads or source-operand
-    order — so an edit preserving that skeleton reuses both.  A snapshot
-    is immutable once built: concurrent {!allocate_incremental} calls
-    may share one (each takes a private graph copy). *)
+    renumbered code, its boundary liveness
+    ({!Dataflow.Liveness.Boundary.t} rows over the upward-exposed
+    registers), and a freshly built interference graph.  Liveness and
+    the graph see only def/use registers, copies and terminator targets
+    — never immediate payloads or source-operand order — so an edit
+    preserving that skeleton reuses both.  A snapshot is immutable once
+    built: concurrent {!allocate_incremental} calls may share one (each
+    takes a private graph copy and recomputes liveness into its own
+    buffers). *)
 
 val snapshot :
   ?mode:Mode.t -> ?machine:Machine.t -> Iloc.Cfg.t -> snapshot
-(** Renumber the routine and force liveness + graph construction,
-    capturing all three for later {!allocate_incremental} calls.  Costs
-    roughly the pre-coloring front half of an allocation.  The input
-    must pass {!Iloc.Validate.routine}. *)
+(** Run the allocation front half — renumber on the arena, boundary
+    liveness, graph construction — and capture its results for later
+    {!allocate_incremental} calls.  Costs roughly the pre-coloring front
+    half of an allocation.  For modes {!allocate_incremental} declines
+    (SSA and loop-splitting modes) the snapshot records only the mode
+    and machine and costs nothing beyond validation.  The input must
+    pass {!Iloc.Validate.routine}. *)
 
 val allocate_incremental :
   ?verify:bool ->
@@ -111,20 +131,18 @@ val allocate_incremental :
     skeleton diverges from the snapshot's, [None] is returned and the
     caller must fall back to a cold {!allocate} — reuse only happens
     when it is provably sound, so the returned allocation is always
-    byte-identical to a cold allocation of the same routine (the
-    structured/flat A/B property bridges the rest).  On success the
-    first round performs no [Full_builds] and no [Liveness_runs]
-    (observable in [result.stats]: [Full_builds] = rounds − 1 instead of
-    rounds), and a new snapshot for the {e edited} routine is returned,
-    sharing the cached liveness/graph.  Returns [None] for modes with a
-    loop-splitting scheme (splitting rewrites the routine after
-    renumber). *)
+    byte-identical to a cold allocation of the same routine.  On success
+    the first round performs no [Full_builds] and no [Liveness_runs]
+    before coalescing (observable in [result.stats]: [Full_builds] =
+    rounds − 1 instead of rounds), and a new snapshot for the {e edited}
+    routine is returned, sharing the cached liveness/graph.  Returns
+    [None] for SSA modes and modes with a loop-splitting scheme
+    (splitting rewrites the routine after renumber). *)
 
 val run :
   ?mode:Mode.t ->
   ?machine:Machine.t ->
   ?max_rounds:int ->
-  ?use_flat:bool ->
   Iloc.Cfg.t ->
   result
 (** [allocate] without verification, kept as the historical entry

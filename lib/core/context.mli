@@ -2,13 +2,17 @@
     allocator's phases share — the routine under allocation, the machine
     and mode, the tag and infinite-cost tables, the split-pair list, the
     per-phase {!Stats} — plus {e caches} for the derived structures:
-    the block postorder, global liveness, and the interference graph.
+    the block postorder, the flat arena encoding of the routine, its
+    boundary liveness, and the interference graph.  Every phase reads
+    the arena-side caches: dense per-live-range liveness rows are never
+    materialized.
 
     The caches carry the incremental-update invariant of the
     build–coalesce loop: {!graph} performs a from-scratch
-    {!Interference.build} only when no graph is cached, and coalescing
-    keeps the cached graph current in place ({!Interference.merge}), so a
-    spill round triggers at most one full build.  Phases that mutate the
+    {!Interference.build_flat_boundary} only when no graph is cached, and
+    coalescing keeps the cached graph current in place
+    ({!Interference.merge}), so a spill round triggers at most one full
+    build.  Phases that mutate the
     routine declare what they stale: coalescing calls
     {!invalidate_liveness} (the graph it maintains itself; the block
     order survives, since coalescing rewrites instructions but never
@@ -32,10 +36,6 @@ type t = {
       (** spill temporaries from earlier rounds (never re-spilled) *)
   loops : Dataflow.Loops.t;
   stats : Stats.t;
-  use_flat : bool;
-      (** run liveness, graph construction and spill insertion on the
-          flat arena form (the default); [false] keeps every phase on
-          the structured view — the A/B baseline *)
   batch_build : bool option;
       (** forces {!Interference.build_flat_boundary}'s [?batch] choice;
           [None] (the default) lets the node count decide *)
@@ -43,7 +43,6 @@ type t = {
   mutable split_pairs : (Iloc.Reg.t * Iloc.Reg.t) list;
   mutable coalesced : int;  (** copies removed by coalescing, total *)
   mutable order : int array option;  (** postorder cache; see {!block_order} *)
-  mutable live : Dataflow.Liveness.t option;  (** cache; may be stale *)
   mutable boundary : Dataflow.Liveness.Boundary.t option;
       (** |U|-compressed boundary liveness cache; see {!boundary} *)
   mutable lr_index : Dataflow.Reg_index.t option;
@@ -66,7 +65,6 @@ type t = {
 }
 
 val create :
-  ?use_flat:bool ->
   ?batch_build:bool ->
   mode:Mode.t ->
   machine:Machine.t ->
@@ -92,18 +90,16 @@ val flat : t -> Iloc.Flat.t
 
 val set_flat : t -> Iloc.Flat.t -> unit
 (** Prime the cache with an arena known to equal the current [cfg] —
-    the spliced result of flat spill insertion, after its write-back. *)
-
-val liveness : t -> Dataflow.Liveness.t
-(** Cached global liveness of [cfg]; recomputed (timed and counted,
-    reusing {!block_order}) when a phase has invalidated it.  The
-    structured pipeline's view; the flat pipeline uses {!boundary} and
-    never materializes dense rows. *)
+    the renamed arena of {!Renumber.run_flat} before its bridge, or the
+    spliced result of flat spill insertion after its write-back. *)
 
 val boundary : t -> Dataflow.Liveness.Boundary.t
-(** Cached {!Dataflow.Liveness.Boundary.compute} of the arena — rows
-    |U| bits wide instead of |LR|.  Timed and counted like {!liveness};
-    staled by exactly what stales it. *)
+(** Cached global liveness of [cfg], as
+    {!Dataflow.Liveness.Boundary.compute} of the arena — rows |U| bits
+    wide (the upward-exposed registers) instead of one bit per live
+    range.  Recomputed (timed as [Liveness], counted as a
+    [Liveness_runs] event, reusing {!block_order} and recycling
+    [boundary_scratch]) when a phase has invalidated it. *)
 
 val lr_index : t -> Dataflow.Reg_index.t
 (** Cached dense numbering of the registers occurring in the arena —

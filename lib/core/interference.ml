@@ -310,59 +310,10 @@ let of_edges ?k n edges =
   List.iter (fun (i, j) -> add_edge t i j) edges;
   t
 
-let build ?matrix ?k (cfg : Iloc.Cfg.t) (live : Dataflow.Liveness.t) =
-  let regs = live.Dataflow.Liveness.regs in
-  let n = Reg_index.count regs in
-  let t = make ?matrix ?k regs n in
-  (* Edges only connect registers of the same class, so instead of a
-     class lookup per live bit the defining register's candidates are
-     narrowed word-parallel: live_now ∩ class-mask, then the iteration
-     touches exactly the indices that can get an edge. *)
-  let int_mask = Bitset.create n and float_mask = Bitset.create n in
-  for i = 0 to n - 1 do
-    match Reg.cls (Reg_index.reg regs i) with
-    | Reg.Int -> Bitset.unsafe_add int_mask i
-    | Reg.Float -> Bitset.unsafe_add float_mask i
-  done;
-  let candidates = Bitset.create n in
-  Iloc.Cfg.iter_blocks
-    (fun b ->
-      let live_now = Bitset.copy live.Dataflow.Liveness.live_out.(b.id) in
-      let step (i : Instr.t) =
-        (match i.Instr.dst with
-        | Some d ->
-            let di = Reg_index.index regs d in
-            let skip =
-              (* Copies: the new value and the copied value may share a
-                 register, so no edge between them (enables coalescing).
-                 -1 never equals a live index. *)
-              if Instr.is_copy i then Reg_index.index regs i.Instr.srcs.(0)
-              else -1
-            in
-            Bitset.assign ~dst:candidates live_now;
-            ignore
-              (Bitset.inter_into ~dst:candidates
-                 (match Reg.cls d with
-                 | Reg.Int -> int_mask
-                 | Reg.Float -> float_mask));
-            Bitset.iter
-              (fun l -> if l <> di && l <> skip then add_edge t di l)
-              candidates;
-            Bitset.unsafe_remove live_now di
-        | None -> ());
-        List.iter
-          (fun u -> Bitset.unsafe_add live_now (Reg_index.index regs u))
-          (Instr.uses i)
-      in
-      step b.term;
-      List.iter step (List.rev b.body))
-    cfg;
-  t
-
 (* -------------------------------------------------------------------
    Batched construction (the sparse-regime build path).
 
-   The incremental builders above pay two per-definition costs that go
+   The incremental builders below pay two per-definition costs that go
    quadratic at the million-instruction tier: an O(n/64) word scan to
    mask the live set down to the defining class, and one edge-set
    membership probe per candidate pair.  The batched builder removes

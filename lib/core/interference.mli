@@ -66,23 +66,9 @@ type t = {
 }
 
 val dense_node_limit : int
-(** Node count above which {!build} switches the edge set from [Dense]
-    to [Sparse], and {!build_flat}/{!build_flat_boundary} default
-    [?batch] to true (producing [Csr] edges). *)
-
-val build :
-  ?matrix:Dataflow.Bitset.t ->
-  ?k:(Iloc.Reg.cls -> int) ->
-  Iloc.Cfg.t ->
-  Dataflow.Liveness.t ->
-  t
-(** One backward pass per block, seeded with the block's live-out set.
-    [matrix], when given, is a scratch buffer from an earlier build: if
-    the graph is dense and the buffer's storage can hold the n(n−1)/2
-    triangular bits it is cleared and recycled (via
-    {!Dataflow.Bitset.view}) instead of allocating fresh — the earlier
-    graph must no longer be in use.  The allocation context threads its
-    previous matrix through here on every spill-round rebuild. *)
+(** Node count above which the incremental builders switch the edge set
+    from [Dense] to [Sparse], and {!build_flat}/{!build_flat_boundary}
+    default [?batch] to true (producing [Csr] edges). *)
 
 val build_flat :
   ?matrix:Dataflow.Bitset.t ->
@@ -91,13 +77,17 @@ val build_flat :
   Iloc.Flat.t ->
   Dataflow.Liveness.t ->
   t
-(** Same pass over the flat arena form, with one reused live-now row and
-    no per-instruction allocation.  [live] must come from
+(** One backward pass per block over the flat arena, seeded with the
+    block's dense live-out row, with one reused live-now row and no
+    per-instruction allocation.  [live] must come from
     {!Dataflow.Liveness.compute_flat} on the same arena (the register
-    numbering is shared); the resulting graph is identical — same edges,
-    inserted in the same order — to {!build} on the bridged routine.
-    [batch] (default: node count > {!dense_node_limit}) selects the
-    batched two-phase builder; see {!build_flat_boundary}. *)
+    numbering is shared).  [matrix], when given, is a scratch buffer
+    from an earlier build: if the graph is dense and the buffer's
+    storage can hold the n(n−1)/2 triangular bits it is cleared and
+    recycled (via {!Dataflow.Bitset.view}) instead of allocating fresh —
+    the earlier graph must no longer be in use.  [batch] (default: node
+    count > {!dense_node_limit}) selects the batched two-phase builder;
+    see {!build_flat_boundary}. *)
 
 val build_flat_boundary :
   ?matrix:Dataflow.Bitset.t ->

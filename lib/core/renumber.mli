@@ -29,33 +29,24 @@
     predecessor blocks, which is only correct when no conditional branch
     can read a live range the copies overwrite. *)
 
-type result = {
-  cfg : Iloc.Cfg.t;  (** live-range-named code, φ-free *)
-  tags : Tag.t Iloc.Reg.Tbl.t;  (** rematerialization tag per live range *)
-  split_pairs : (Iloc.Reg.t * Iloc.Reg.t) list;
+type flat_result = {
+  fl : Iloc.Flat.t;
+      (** live-range-named arena, φ-free, no structured detour *)
+  f_tags : Tag.t Iloc.Reg.Tbl.t;  (** rematerialization tag per live range *)
+  f_split_pairs : (Iloc.Reg.t * Iloc.Reg.t) list;
       (** (destination, source) of every split copy inserted; conservative
           coalescing and biased coloring treat these as partners *)
-  n_values : int;  (** SSA values found (before unioning) *)
-  n_live_ranges : int;  (** live ranges after steps 5–6 *)
-}
-
-val run : Mode.t -> Iloc.Cfg.t -> result
-
-type flat_result = {
-  fl : Iloc.Flat.t;  (** live-range-named arena, no structured detour *)
-  f_tags : Tag.t Iloc.Reg.Tbl.t;
-  f_split_pairs : (Iloc.Reg.t * Iloc.Reg.t) list;
-  f_n_values : int;
-  f_n_live_ranges : int;
+  f_n_values : int;  (** SSA values found (before unioning) *)
+  f_n_live_ranges : int;  (** live ranges after steps 5–6 *)
 }
 
 val run_flat : Mode.t -> Iloc.Flat.t -> flat_result
-(** [run] routine-in/routine-out on the flat arena: dominance, pruned φ
-    placement and renaming operate on packed records and side arrays —
-    SSA exists only as per-slot value indices, never as a routine — and
-    a {!Iloc.Flat.Splice} builder re-emits the renamed arena.  Output is
-    byte-identical to [run] of the bridged routine: [Flat.to_routine
-    r.fl] structurally equals [run mode (Flat.to_routine fl0)].cfg with
-    the same supply watermark, tags, split pairs and counts.  Like
-    [run], requires critical edges split (and, being flat, no φ-nodes in
-    the input). *)
+(** The six steps routine-in/routine-out on the flat arena: dominance,
+    pruned φ placement and renaming operate on packed records and side
+    arrays — SSA exists only as per-slot value indices, never as a
+    routine — and a {!Iloc.Flat.Splice} builder re-emits the renamed
+    arena.  Requires critical edges split and no φ-nodes in the input.
+    The structured pass this replaced is kept as a test oracle
+    ([Reference.Renumber] in test/): [Flat.to_routine r.fl] structurally
+    equals its output on the bridged routine, with the same supply
+    watermark, tags, split pairs and counts. *)

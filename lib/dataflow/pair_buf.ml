@@ -7,7 +7,9 @@
    recover chronological order.  Both sorts are stable counting sorts on
    16-bit digits, ping-ponging between the live arrays and a scratch
    pair that is kept across [clear]s, so a buffer reused round over
-   round allocates nothing in steady state. *)
+   round allocates nothing in steady state.  The 512 KB digit histogram
+   is allocated by the first sort: every allocation context owns a
+   buffer, but only builds above the batching threshold ever sort. *)
 
 type t = {
   mutable keys : int array;
@@ -15,7 +17,7 @@ type t = {
   mutable len : int;
   mutable sk : int array;  (* sort scratch, same capacity as keys *)
   mutable sp : int array;
-  count : int array;  (* 65536-entry digit histogram *)
+  mutable count : int array;  (* 65536-entry digit histogram, or [||] *)
 }
 
 let create ?(cap = 1024) () =
@@ -26,7 +28,7 @@ let create ?(cap = 1024) () =
     len = 0;
     sk = [||];
     sp = [||];
-    count = Array.make 65536 0;
+    count = [||];
   }
 
 let length t = t.len
@@ -71,6 +73,7 @@ let sort ~by_pay t =
       incr passes;
       mm := !mm lsr 16
     done;
+    if Array.length t.count = 0 then t.count <- Array.make 65536 0;
     let count = t.count in
     let src_k = ref t.keys and src_p = ref t.pays in
     let dst_k = ref t.sk and dst_p = ref t.sp in

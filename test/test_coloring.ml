@@ -20,13 +20,8 @@ let machines =
   ]
 
 let fresh_ctx ~mode ~machine cfg =
-  let cfg0 = Cfg.split_critical_edges cfg in
-  let dom = Dataflow.Dominance.compute cfg0 in
-  let loops = Dataflow.Loops.compute cfg0 dom in
-  let rn = Remat.Renumber.run mode cfg0 in
-  Remat.Context.create ~mode ~machine ~loops ~tags:rn.Remat.Renumber.tags
-    ~split_pairs:rn.Remat.Renumber.split_pairs
-    ~stats:(Remat.Stats.create ()) rn.Remat.Renumber.cfg
+  fst
+    (Remat.Allocator.front ~stats:(Remat.Stats.create ()) ~mode ~machine cfg)
 
 let partners_of ctx g =
   let partners = Array.make (Interference.n_nodes g) [] in

@@ -266,15 +266,13 @@ let dump_tests =
           [ "digraph"; "b0 -> b1"; "b0 -> b2"; "b1 -> b3"; "shape=record" ]);
     tc "interference dot shape" (fun () ->
         let cfg = Testutil.high_pressure () in
-        let live = Dataflow.Liveness.compute cfg in
-        let g = Remat.Interference.build cfg live in
+        let g = Testutil.graph cfg in
         let text = Remat.Dump.interference_to_string g in
         check Alcotest.bool "graph" true (contains text "graph interference");
         check Alcotest.bool "edges" true (contains text " -- "));
     tc "colored dump marks spills" (fun () ->
         let cfg = Testutil.straight () in
-        let live = Dataflow.Liveness.compute cfg in
-        let g = Remat.Interference.build cfg live in
+        let g = Testutil.graph cfg in
         let colors = Array.make (Remat.Interference.n_nodes g) None in
         if Array.length colors > 0 then colors.(0) <- Some 1;
         let text = Remat.Dump.interference_to_string ~colors g in

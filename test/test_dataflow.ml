@@ -852,6 +852,22 @@ let postdom_prop =
       done;
       !ok)
 
+(* --- pair buffer --- *)
+
+let pair_buf_unit =
+  [
+    tc "create does not allocate the radix histogram" (fun () ->
+        (* Every allocation context owns a pair buffer, but only graph
+           builds above the batching threshold ever sort: creation must
+           not pay for the 65,536-entry (512 KB) digit histogram. *)
+        let before = Gc.allocated_bytes () in
+        let b = Dataflow.Pair_buf.create () in
+        let bytes = Gc.allocated_bytes () -. before in
+        ignore (Sys.opaque_identity b);
+        if bytes >= 65536. then
+          Alcotest.failf "Pair_buf.create allocated %.0f bytes" bytes);
+  ]
+
 let props = List.map QCheck_alcotest.to_alcotest
     [ bitset_prop; bitset_binop_prop; bitset_edge_prop; bitset_edge_binop_prop;
       union_find_prop; liveness_prop; worklist_vs_round_robin_prop;
@@ -867,5 +883,6 @@ let () =
       ("liveness", liveness_unit);
       ("boundary", boundary_unit);
       ("hash-set", hash_set_unit);
+      ("pair-buf", pair_buf_unit);
       ("properties", props);
     ]

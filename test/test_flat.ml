@@ -289,7 +289,7 @@ let liveness_flat_prop (name, config) =
       done;
       true)
 
-(* --- renumber A/B: flat-native pass vs structured must agree exactly - *)
+(* --- renumber A/B: flat-native pass vs the structured oracle -------- *)
 
 let tag_list tbl =
   Reg.Tbl.fold (fun r t acc -> (r, t) :: acc) tbl []
@@ -299,30 +299,30 @@ let tag_list tbl =
 
 let renumber_ab_check ~what ~mode cfg =
   let cfg = Cfg.split_critical_edges cfg in
-  let s = Remat.Renumber.run mode cfg in
+  let s = Reference.Renumber.run mode cfg in
   let f = Remat.Renumber.run_flat mode (Flat.of_routine cfg) in
   let fcfg = Flat.to_routine f.Remat.Renumber.fl in
-  if not (Cfg.structural_equal fcfg s.Remat.Renumber.cfg) then
+  if not (Cfg.structural_equal fcfg s.Reference.Renumber.cfg) then
     Alcotest.failf "%s: flat renumber differs:@.%s@.vs@.%s" what
-      (Cfg.to_string s.Remat.Renumber.cfg)
+      (Cfg.to_string s.Reference.Renumber.cfg)
       (Cfg.to_string fcfg);
   Alcotest.(check int)
     (what ^ ": supply watermark")
-    (Reg.Supply.last s.Remat.Renumber.cfg.Cfg.supply)
+    (Reg.Supply.last s.Reference.Renumber.cfg.Cfg.supply)
     (Reg.Supply.last fcfg.Cfg.supply);
-  Alcotest.(check int) (what ^ ": n_values") s.Remat.Renumber.n_values
+  Alcotest.(check int) (what ^ ": n_values") s.Reference.Renumber.n_values
     f.Remat.Renumber.f_n_values;
   Alcotest.(check int)
     (what ^ ": n_live_ranges")
-    s.Remat.Renumber.n_live_ranges f.Remat.Renumber.f_n_live_ranges;
+    s.Reference.Renumber.n_live_ranges f.Remat.Renumber.f_n_live_ranges;
   let pair (d, sr) = Printf.sprintf "%s<-%s" (Reg.to_string d) (Reg.to_string sr) in
   Alcotest.(check (list string))
     (what ^ ": split pairs")
-    (List.map pair s.Remat.Renumber.split_pairs)
+    (List.map pair s.Reference.Renumber.split_pairs)
     (List.map pair f.Remat.Renumber.f_split_pairs);
   Alcotest.(check (list string))
     (what ^ ": tags")
-    (tag_list s.Remat.Renumber.tags)
+    (tag_list s.Reference.Renumber.tags)
     (tag_list f.Remat.Renumber.f_tags)
 
 let renumber_modes =
@@ -449,56 +449,78 @@ let test_batched_over_limit () =
   if not (String.equal a b) then
     Alcotest.fail "batched graph differs beyond dense_node_limit"
 
-(* --- allocator A/B: flat vs structured must be byte-identical -------- *)
+(* --- spill A/B: arena splicing vs structured rewrite ------------------ *)
 
-let alloc_fingerprint ~use_flat ~mode ~machine cfg =
-  let res = Remat.Allocator.allocate ~mode ~machine ~use_flat cfg in
-  let open Remat.Allocator in
-  Printf.sprintf "%s\nrounds=%d mem=%d remat=%d slots=%d coalesced=%d"
-    (Cfg.to_string res.cfg) res.rounds res.spilled_memory res.spilled_remat
-    res.spill_slots res.coalesced_copies
+(* The same renumbered routine and spill sets through both insertion
+   paths, two rounds deep so the second round spills around the first
+   round's temporaries and continues its slot and register numbering.
+   Everything the allocator carries from round to round must agree: the
+   routine, the stats, the slot counter, the supply watermark, and the
+   tag and infinite-cost tables. *)
+let reg_list tbl =
+  Reg.Tbl.fold (fun r () acc -> Reg.to_string r :: acc) tbl []
+  |> List.sort String.compare
 
-let ab_check ~what ~mode ~machine cfg =
-  let a = alloc_fingerprint ~use_flat:false ~mode ~machine cfg in
-  let b = alloc_fingerprint ~use_flat:true ~mode ~machine cfg in
-  if not (String.equal a b) then
-    Alcotest.failf "%s: flat allocation differs from structured:@.%s@.vs@.%s"
-      what a b
+let spill_ab_check ~what ~mode ~rng cfg =
+  let cfg = Cfg.split_critical_edges cfg in
+  let rn = Remat.Renumber.run_flat mode (Flat.of_routine cfg) in
+  let s_cfg = Flat.to_routine rn.Remat.Renumber.fl in
+  let f_fl = ref rn.Remat.Renumber.fl in
+  let s_tags = Reg.Tbl.copy rn.Remat.Renumber.f_tags in
+  let f_tags = Reg.Tbl.copy rn.Remat.Renumber.f_tags in
+  let s_inf = Reg.Tbl.create 16 and f_inf = Reg.Tbl.create 16 in
+  let s_slots = ref 0 and f_slots = ref 0 in
+  for round = 1 to 2 do
+    let what = Printf.sprintf "%s, round %d" what round in
+    let spilled =
+      Reg.Set.elements (Cfg.all_regs s_cfg)
+      |> List.filter (fun r ->
+             (not (Reg.Tbl.mem s_inf r)) && Random.State.int rng 4 = 0)
+    in
+    let s_st =
+      Remat.Spill_code.insert s_cfg ~tags:s_tags ~infinite:s_inf ~spilled
+        ~slot_counter:s_slots
+    in
+    let f_st, fl =
+      Remat.Spill_code.insert_flat !f_fl ~tags:f_tags ~infinite:f_inf ~spilled
+        ~slot_counter:f_slots
+    in
+    f_fl := fl;
+    let f_cfg = Flat.to_routine fl in
+    Alcotest.(check string)
+      (what ^ ": routine")
+      (Iloc.Printer.routine_to_string s_cfg)
+      (Iloc.Printer.routine_to_string f_cfg);
+    let stats (st : Remat.Spill_code.stats) =
+      Printf.sprintf "remat=%d memory=%d slots=%d" st.Remat.Spill_code.remat_lrs
+        st.Remat.Spill_code.memory_lrs st.Remat.Spill_code.new_slots
+    in
+    Alcotest.(check string) (what ^ ": stats") (stats s_st) (stats f_st);
+    Alcotest.(check int) (what ^ ": slot counter") !s_slots !f_slots;
+    Alcotest.(check int)
+      (what ^ ": supply watermark")
+      (Reg.Supply.last s_cfg.Cfg.supply)
+      fl.Flat.supply_last;
+    Alcotest.(check (list string))
+      (what ^ ": tags") (tag_list s_tags) (tag_list f_tags);
+    Alcotest.(check (list string))
+      (what ^ ": infinite") (reg_list s_inf) (reg_list f_inf)
+  done
 
-let ab_machines =
-  [
-    Remat.Machine.make ~name:"tiny" ~k_int:6 ~k_float:4;
-    Remat.Machine.standard;
-  ]
-
-let test_allocator_ab () =
-  List.iter
-    (fun mode ->
-      List.iter
-        (fun machine ->
-          List.iter
-            (fun seed ->
-              let cfg = Fuzz.Gen.generate ~config:Fuzz.Gen.high_pressure seed in
-              ab_check
-                ~what:
-                  (Printf.sprintf "seed %d, %s, %s" seed
-                     (Remat.Mode.to_string mode)
-                     machine.Remat.Machine.name)
-                ~mode ~machine cfg)
-            [ 11; 42; 1234 ])
-        ab_machines)
-    [ Remat.Mode.Briggs_remat; Remat.Mode.Chaitin_remat; Remat.Mode.No_remat ]
-
-let allocator_ab_prop (name, config) =
-  QCheck.Test.make ~count:25
-    ~name:(Printf.sprintf "flat allocation ≡ structured (%s)" name)
+let spill_ab_prop (name, config) =
+  QCheck.Test.make ~count:40
+    ~name:(Printf.sprintf "flat spill insertion ≡ structured (%s)" name)
     QCheck.(make Gen.(int_bound 1_000_000))
     (fun seed ->
       let cfg = Fuzz.Gen.generate ~config seed in
-      let machine = Remat.Machine.make ~name:"tiny" ~k_int:6 ~k_float:4 in
-      ab_check
-        ~what:(Printf.sprintf "seed %d" seed)
-        ~mode:Remat.Mode.Briggs_remat ~machine cfg;
+      let rng = Random.State.make [| seed |] in
+      List.iter
+        (fun mode ->
+          spill_ab_check
+            ~what:
+              (Printf.sprintf "seed %d, %s" seed (Remat.Mode.to_string mode))
+            ~mode ~rng (Cfg.copy cfg))
+        Remat.Mode.[ Briggs_remat; Chaitin_remat; No_remat ];
       true)
 
 (* End-to-end: forcing the batched builder (every round, even under the
@@ -547,7 +569,7 @@ let qcheck_cases =
       (fun c -> QCheck_alcotest.to_alcotest (batched_graph_prop c))
       gen_configs
   @ List.map
-      (fun c -> QCheck_alcotest.to_alcotest (allocator_ab_prop c))
+      (fun c -> QCheck_alcotest.to_alcotest (spill_ab_prop c))
       gen_configs
   @ List.map
       (fun c -> QCheck_alcotest.to_alcotest (batched_alloc_prop c))
@@ -578,11 +600,6 @@ let () =
             test_instr_equal;
           Alcotest.test_case "hash spreads immediates" `Quick
             test_hash_spreads;
-        ] );
-      ( "allocator-ab",
-        [
-          Alcotest.test_case "flat vs structured allocation" `Quick
-            test_allocator_ab;
         ] );
       ("roundtrip", qcheck_cases);
     ]

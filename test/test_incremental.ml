@@ -12,17 +12,13 @@ let check = Alcotest.check
 (* Run a routine up to the coalescing fixpoint under a fresh context:
    DCE (dead definitions would otherwise carry clobber edges that no
    rebuild of the rewritten routine can reproduce), critical-edge split,
-   renumber, then the allocator's incremental build–coalesce loop. *)
+   renumber (the allocator's own front half), then the allocator's
+   incremental build–coalesce loop. *)
 let coalesced_context mode cfg0 =
   ignore (Opt.Dce.routine cfg0);
-  let cfg = Cfg.split_critical_edges cfg0 in
-  let dom = Dataflow.Dominance.compute cfg in
-  let loops = Dataflow.Loops.compute cfg dom in
-  let rn = Remat.Renumber.run mode cfg in
-  let ctx =
-    Remat.Context.create ~mode ~machine:Remat.Machine.standard ~loops
-      ~tags:rn.Remat.Renumber.tags ~split_pairs:rn.Remat.Renumber.split_pairs
-      ~stats:(Remat.Stats.create ()) rn.Remat.Renumber.cfg
+  let ctx, _ =
+    Remat.Allocator.front ~stats:(Remat.Stats.create ()) ~mode
+      ~machine:Remat.Machine.standard cfg0
   in
   Remat.Context.set_round ctx 1;
   Remat.Allocator.build_coalesce ctx;
@@ -31,7 +27,7 @@ let coalesced_context mode cfg0 =
 (* Compare the incrementally maintained graph against a from-scratch
    rebuild of the coalesced routine.  Chaitin's neighbor-set union is a
    safe over-approximation of the rebuild, exact except around nodes the
-   coalescer touched: [build] omits the dst–src edge at a copy
+   coalescer touched: the build omits the dst–src edge at a copy
    definition, so a merge that enlarges a copy's source range lets the
    rebuild drop an edge the union keeps; and collapsing a φ copy-cycle
    can leave a merged range with fewer occurrences than its
@@ -50,8 +46,7 @@ let coalesced_context mode cfg0 =
      with the matrix (sum of alive degrees = 2 * n_edges). *)
 let matches_rebuild (ctx : Remat.Context.t) =
   let g = Remat.Context.graph ctx in
-  let live = Dataflow.Liveness.compute ctx.Remat.Context.cfg in
-  let fresh = Remat.Interference.build ctx.Remat.Context.cfg live in
+  let fresh = Testutil.graph ctx.Remat.Context.cfg in
   let n = Remat.Interference.n_nodes g in
   let alive =
     List.filter (Remat.Interference.alive g) (List.init n Fun.id)
@@ -140,8 +135,7 @@ let rewrite_tests =
             \  print r2\n\
             \  ret\n"
         in
-        let live = Dataflow.Liveness.compute cfg in
-        let g = Remat.Interference.build cfg live in
+        let g = Testutil.graph cfg in
         (* r1 and r2 do not interfere (copy source dies at the copy), so
            both may receive color 0 — the copy becomes r0 <- copy r0. *)
         let colors = Array.make (Remat.Interference.n_nodes g) (Some 0) in
@@ -168,8 +162,7 @@ let rewrite_tests =
             \  print r2\n\
             \  ret\n"
         in
-        let live = Dataflow.Liveness.compute cfg in
-        let g = Remat.Interference.build cfg live in
+        let g = Testutil.graph cfg in
         let colors =
           Array.init (Remat.Interference.n_nodes g) (fun i -> Some i)
         in

@@ -223,26 +223,26 @@ let renumber_unit =
         (* Figure 3: the minimal placement needs exactly one split copy
            for the pointer (p0 | p12). *)
         let cfg = Cfg.split_critical_edges (Testutil.fig1 ()) in
-        let rn = Remat.Renumber.run Remat.Mode.Briggs_remat cfg in
-        check Alcotest.bool "has splits" true (rn.Remat.Renumber.split_pairs <> []);
-        (match Iloc.Validate.routine rn.Remat.Renumber.cfg with
+        let rn = Testutil.renumber Remat.Mode.Briggs_remat cfg in
+        check Alcotest.bool "has splits" true (rn.Testutil.split_pairs <> []);
+        (match Iloc.Validate.routine rn.Testutil.cfg with
         | Ok () -> ()
         | Error es ->
             Alcotest.failf "renumbered code invalid: %s"
               (String.concat "; " (List.map Iloc.Validate.error_to_string es)));
         (* The renumbered code must still behave identically. *)
-        Testutil.assert_equiv ~what:"renumber fig1" cfg rn.Remat.Renumber.cfg);
+        Testutil.assert_equiv ~what:"renumber fig1" cfg rn.Testutil.cfg);
     tc "chaitin modes never split" (fun () ->
         List.iter
           (fun mode ->
             List.iter
               (fun (name, cfg) ->
                 let cfg = Cfg.split_critical_edges cfg in
-                let rn = Remat.Renumber.run mode cfg in
+                let rn = Testutil.renumber mode cfg in
                 check Alcotest.int (name ^ " no splits") 0
-                  (List.length rn.Remat.Renumber.split_pairs);
+                  (List.length rn.Testutil.split_pairs);
                 Testutil.assert_equiv ~what:(name ^ " renumber")
-                  cfg rn.Remat.Renumber.cfg)
+                  cfg rn.Testutil.cfg)
               (Testutil.all_fixed ()))
           [ Remat.Mode.No_remat; Remat.Mode.Chaitin_remat ]);
     tc "renumber preserves behaviour in all modes" (fun () ->
@@ -251,33 +251,33 @@ let renumber_unit =
             List.iter
               (fun (name, cfg) ->
                 let cfg = Cfg.split_critical_edges cfg in
-                let rn = Remat.Renumber.run mode cfg in
+                let rn = Testutil.renumber mode cfg in
                 Testutil.assert_equiv
                   ~what:
                     (Printf.sprintf "%s renumber %s" name
                        (Remat.Mode.to_string mode))
-                  cfg rn.Remat.Renumber.cfg)
+                  cfg rn.Testutil.cfg)
               (Testutil.all_fixed ()))
           Remat.Mode.all);
     tc "every live range is tagged" (fun () ->
         let cfg = Cfg.split_critical_edges (Testutil.fig1 ()) in
-        let rn = Remat.Renumber.run Remat.Mode.Briggs_remat cfg in
+        let rn = Testutil.renumber Remat.Mode.Briggs_remat cfg in
         Reg.Set.iter
           (fun r ->
-            match Reg.Tbl.find_opt rn.Remat.Renumber.tags r with
+            match Reg.Tbl.find_opt rn.Testutil.tags r with
             | Some (Tag.Inst _ | Tag.Bottom) -> ()
             | Some Tag.Top -> Alcotest.failf "%s tagged Top" (Reg.to_string r)
             | None -> Alcotest.failf "%s untagged" (Reg.to_string r))
-          (Cfg.all_regs rn.Remat.Renumber.cfg));
+          (Cfg.all_regs rn.Testutil.cfg));
     tc "phi-splits mode splits bottom merges too" (fun () ->
         let cfg = Cfg.split_critical_edges (Testutil.counted_loop ()) in
-        let minimal = Remat.Renumber.run Remat.Mode.Briggs_remat cfg in
-        let eager = Remat.Renumber.run Remat.Mode.Briggs_remat_phi_splits cfg in
+        let minimal = Testutil.renumber Remat.Mode.Briggs_remat cfg in
+        let eager = Testutil.renumber Remat.Mode.Briggs_remat_phi_splits cfg in
         check Alcotest.bool "more splits" true
-          (List.length eager.Remat.Renumber.split_pairs
-          > List.length minimal.Remat.Renumber.split_pairs);
+          (List.length eager.Testutil.split_pairs
+          > List.length minimal.Testutil.split_pairs);
         Testutil.assert_equiv ~what:"phi-splits renumber" cfg
-          eager.Remat.Renumber.cfg);
+          eager.Testutil.cfg);
   ]
 
 (* --- interference --- *)
@@ -296,8 +296,7 @@ let interference_unit =
           \  ret\n"
         in
         let cfg = Iloc.Parser.routine src in
-        let live = Dataflow.Liveness.compute cfg in
-        let g = Remat.Interference.build cfg live in
+        let g = Testutil.graph cfg in
         let i r = Remat.Interference.index g (Reg.make r Reg.Int) in
         check Alcotest.bool "r1-r2" true (Remat.Interference.interfere g (i 1) (i 2));
         check Alcotest.bool "r1-r3" true (Remat.Interference.interfere g (i 1) (i 3));
@@ -315,8 +314,7 @@ let interference_unit =
           \  ret\n"
         in
         let cfg = Iloc.Parser.routine src in
-        let live = Dataflow.Liveness.compute cfg in
-        let g = Remat.Interference.build cfg live in
+        let g = Testutil.graph cfg in
         let i r = Remat.Interference.index g (Reg.make r Reg.Int) in
         check Alcotest.bool "r1-r2" false
           (Remat.Interference.interfere g (i 1) (i 2)));
@@ -331,8 +329,7 @@ let interference_unit =
           \  ret\n"
         in
         let cfg = Iloc.Parser.routine src in
-        let live = Dataflow.Liveness.compute cfg in
-        let g = Remat.Interference.build cfg live in
+        let g = Testutil.graph cfg in
         let ii = Remat.Interference.index g (Reg.make 1 Reg.Int) in
         let fi = Remat.Interference.index g (Reg.make 1 Reg.Float) in
         check Alcotest.bool "cross-class" false
@@ -340,20 +337,18 @@ let interference_unit =
         check Alcotest.int "edges" 0 (Remat.Interference.n_edges g));
     tc "degree equals adjacency length" (fun () ->
         let cfg = Testutil.high_pressure () in
-        let rn = Remat.Renumber.run Remat.Mode.Briggs_remat
+        let rn = Testutil.renumber Remat.Mode.Briggs_remat
             (Cfg.split_critical_edges cfg) in
-        let live = Dataflow.Liveness.compute rn.Remat.Renumber.cfg in
-        let g = Remat.Interference.build rn.Remat.Renumber.cfg live in
+        let g = Testutil.graph rn.Testutil.cfg in
         for i = 0 to Remat.Interference.n_nodes g - 1 do
           check Alcotest.int "degree" (List.length (Remat.Interference.neighbors g i))
             (Remat.Interference.degree g i)
         done);
     tc "matrix is symmetric" (fun () ->
         let cfg = Testutil.fig1 () in
-        let rn = Remat.Renumber.run Remat.Mode.Briggs_remat
+        let rn = Testutil.renumber Remat.Mode.Briggs_remat
             (Cfg.split_critical_edges cfg) in
-        let live = Dataflow.Liveness.compute rn.Remat.Renumber.cfg in
-        let g = Remat.Interference.build rn.Remat.Renumber.cfg live in
+        let g = Testutil.graph rn.Testutil.cfg in
         let n = Remat.Interference.n_nodes g in
         for i = 0 to n - 1 do
           for j = 0 to n - 1 do
@@ -412,14 +407,14 @@ let spill_cost_unit =
   [
     tc "deep loops weigh more" (fun () ->
         let cfg = Cfg.split_critical_edges (Testutil.counted_loop ()) in
-        let rn = Remat.Renumber.run Remat.Mode.No_remat cfg in
-        let c = rn.Remat.Renumber.cfg in
+        let rn = Testutil.renumber Remat.Mode.No_remat cfg in
+        let c = rn.Testutil.cfg in
         let dom = Dataflow.Dominance.compute c in
         let loops = Dataflow.Loops.compute c dom in
         let live = Dataflow.Liveness.compute c in
-        let g = Remat.Interference.build c live in
+        let g = Testutil.graph c in
         let costs =
-          Remat.Spill_cost.compute c loops g ~live_in_iter:(dense_live_in_iter live) ~tags:rn.Remat.Renumber.tags
+          Remat.Spill_cost.compute c loops g ~live_in_iter:(dense_live_in_iter live) ~tags:rn.Testutil.tags
             ~infinite:(Reg.Tbl.create 1)
         in
         (* the accumulator lives in the loop: cost must include 10x
@@ -442,14 +437,14 @@ let spill_cost_unit =
           \  ret\n"
         in
         let cfg = Cfg.split_critical_edges (Iloc.Parser.routine src) in
-        let rn = Remat.Renumber.run Remat.Mode.Briggs_remat cfg in
-        let c = rn.Remat.Renumber.cfg in
+        let rn = Testutil.renumber Remat.Mode.Briggs_remat cfg in
+        let c = rn.Testutil.cfg in
         let dom = Dataflow.Dominance.compute c in
         let loops = Dataflow.Loops.compute c dom in
         let live = Dataflow.Liveness.compute c in
-        let g = Remat.Interference.build c live in
+        let g = Testutil.graph c in
         let briggs_costs =
-          Remat.Spill_cost.compute c loops g ~live_in_iter:(dense_live_in_iter live) ~tags:rn.Remat.Renumber.tags
+          Remat.Spill_cost.compute c loops g ~live_in_iter:(dense_live_in_iter live) ~tags:rn.Testutil.tags
             ~infinite:(Reg.Tbl.create 1)
         in
         let bottom_tags = Reg.Tbl.create 8 in
@@ -466,7 +461,7 @@ let spill_cost_unit =
               match tag with
               | Tag.Inst (Instr.Laddr ("t", _)) -> Some r
               | _ -> acc)
-            rn.Remat.Renumber.tags None
+            rn.Testutil.tags None
         in
         let i1 =
           Remat.Interference.index g (Option.get laddr_lr)
@@ -476,7 +471,7 @@ let spill_cost_unit =
     tc "infinite marking" (fun () ->
         let cfg = Testutil.straight () in
         let live = Dataflow.Liveness.compute cfg in
-        let g = Remat.Interference.build cfg live in
+        let g = Testutil.graph cfg in
         let dom = Dataflow.Dominance.compute cfg in
         let loops = Dataflow.Loops.compute cfg dom in
         let infinite = Reg.Tbl.create 4 in
@@ -491,10 +486,7 @@ let spill_cost_unit =
 (* --- simplify and select --- *)
 
 let color_unit =
-  let build_graph cfg =
-    let live = Dataflow.Liveness.compute cfg in
-    Remat.Interference.build cfg live
-  in
+  let build_graph cfg = Testutil.graph cfg in
   [
     tc "low-pressure code colors without spilling" (fun () ->
         let cfg = Testutil.straight () in
@@ -511,10 +503,10 @@ let color_unit =
     tc "coloring is proper" (fun () ->
         let cfg = Testutil.high_pressure () in
         let rn =
-          Remat.Renumber.run Remat.Mode.Briggs_remat
+          Testutil.renumber Remat.Mode.Briggs_remat
             (Cfg.split_critical_edges cfg)
         in
-        let g = build_graph rn.Remat.Renumber.cfg in
+        let g = build_graph rn.Testutil.cfg in
         let k _ = 32 in
         let costs = Array.make (Remat.Interference.n_nodes g) 1.0 in
         let order = Remat.Simplify.run g ~k ~costs in
@@ -609,7 +601,7 @@ let live_through_routine () =
 
 let splitting_unit =
   let renumbered mode cfg =
-    Remat.Renumber.run mode (Cfg.split_critical_edges cfg)
+    Testutil.renumber mode (Cfg.split_critical_edges cfg)
   in
   [
     tc "all-loops splitting preserves behaviour" (fun () ->
@@ -618,18 +610,18 @@ let splitting_unit =
             let cfg = Cfg.split_critical_edges cfg in
             let rn = renumbered Remat.Mode.Briggs_remat cfg in
             let pairs =
-              Remat.Splitting.run `All_loops rn.Remat.Renumber.cfg
-                ~tags:rn.Remat.Renumber.tags
+              Remat.Splitting.run `All_loops rn.Testutil.cfg
+                ~tags:rn.Testutil.tags
             in
             ignore pairs;
-            (match Iloc.Validate.routine rn.Remat.Renumber.cfg with
+            (match Iloc.Validate.routine rn.Testutil.cfg with
             | Ok () -> ()
             | Error es ->
                 Alcotest.failf "%s: split code invalid: %s" name
                   (String.concat "; "
                      (List.map Iloc.Validate.error_to_string es)));
             Testutil.assert_equiv ~what:(name ^ " loop split") cfg
-              rn.Remat.Renumber.cfg)
+              rn.Testutil.cfg)
           (Testutil.all_fixed ()));
     tc "live-through value gets entry and exit copies" (fun () ->
         let rn = renumbered Remat.Mode.Briggs_remat (live_through_routine ()) in
@@ -638,11 +630,11 @@ let splitting_unit =
             (fun acc b ->
               acc
               + List.length (List.filter Instr.is_copy b.Iloc.Block.body))
-            0 rn.Remat.Renumber.cfg
+            0 rn.Testutil.cfg
         in
         let pairs =
-          Remat.Splitting.run `Unreferenced rn.Remat.Renumber.cfg
-            ~tags:rn.Remat.Renumber.tags
+          Remat.Splitting.run `Unreferenced rn.Testutil.cfg
+            ~tags:rn.Testutil.tags
         in
         check Alcotest.bool "pairs recorded" true (pairs <> []);
         let after_copies =
@@ -650,12 +642,12 @@ let splitting_unit =
             (fun acc b ->
               acc
               + List.length (List.filter Instr.is_copy b.Iloc.Block.body))
-            0 rn.Remat.Renumber.cfg
+            0 rn.Testutil.cfg
         in
         check Alcotest.bool "copies inserted" true
           (after_copies > before_copies);
         Testutil.assert_equiv ~what:"unreferenced split"
-          (live_through_routine ()) rn.Remat.Renumber.cfg);
+          (live_through_routine ()) rn.Testutil.cfg);
     tc "unreferenced split isolates the spill victim" (fun () ->
         (* With the live-through value split, the loop-crossing segment
            has no references, so the allocator can spill it without
@@ -683,8 +675,8 @@ let splitting_unit =
     tc "dag routines are untouched" (fun () ->
         let rn = renumbered Remat.Mode.Briggs_remat (Testutil.diamond ()) in
         let pairs =
-          Remat.Splitting.run `All_loops rn.Remat.Renumber.cfg
-            ~tags:rn.Remat.Renumber.tags
+          Remat.Splitting.run `All_loops rn.Testutil.cfg
+            ~tags:rn.Testutil.tags
         in
         check Alcotest.int "no pairs" 0 (List.length pairs));
   ]
@@ -697,7 +689,7 @@ let interference_prop =
     Testutil.Gen_prog.arbitrary_cfg
     (fun cfg ->
       let live = Dataflow.Liveness.compute cfg in
-      let g = Remat.Interference.build cfg live in
+      let g = Testutil.graph cfg in
       (* naive: recompute the live set per instruction position *)
       let expected = Hashtbl.create 64 in
       Cfg.iter_blocks

@@ -466,6 +466,47 @@ let incremental_tests =
                  !incremental)
               true
               (!incremental >= 5)));
+    tc "one snapshot serves many edits under spill pressure" (fun () ->
+        (* Several edits against one shared snapshot on the 6+4 machine,
+           where every allocation spills and its later rounds recompute
+           boundary liveness.  Those recomputations must land in each
+           allocation's own scratch, never in the snapshot's rows: every
+           edit, and a repeat of the first one after all the others,
+           must match its cold allocation byte for byte. *)
+        let machine = Remat.Machine.make ~name:"tiny" ~k_int:6 ~k_float:4 in
+        let base = Fuzz.Gen.generate ~config:Fuzz.Gen.high_pressure 7 in
+        let snap = Allocator.snapshot ~machine base in
+        let edit seed =
+          let edited = Fuzz.Gen.mutate ~seed base in
+          match Allocator.allocate_incremental snap edited with
+          | None -> false
+          | Some (res, _) ->
+              let cold = Allocator.allocate ~machine edited in
+              check Alcotest.string
+                (Printf.sprintf "edit %d: output = cold output" seed)
+                (Iloc.Printer.routine_to_string cold.Allocator.cfg)
+                (Iloc.Printer.routine_to_string res.Allocator.cfg);
+              check Alcotest.int
+                (Printf.sprintf "edit %d: rounds agree with cold" seed)
+                cold.Allocator.rounds res.Allocator.rounds;
+              check Alcotest.bool
+                (Printf.sprintf "edit %d: spill rounds ran" seed)
+                true (res.Allocator.rounds > 1);
+              check Alcotest.int
+                (Printf.sprintf "edit %d: full builds" seed)
+                (res.Allocator.rounds - 1)
+                (Remat.Stats.counter_total res.Allocator.stats
+                   Remat.Stats.Full_builds);
+              true
+        in
+        let reused = List.filter edit (List.init 8 Fun.id) in
+        check Alcotest.bool
+          (Printf.sprintf "edits reused the snapshot (%d/8)"
+             (List.length reused))
+          true
+          (List.length reused >= 4);
+        check Alcotest.bool "first edit still reuses" true
+          (edit (List.hd reused)));
     tc "editing against an unknown base falls back cold" (fun () ->
         with_server (fun s ->
             let text = routine_of_seed 21 in

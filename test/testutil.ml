@@ -176,6 +176,40 @@ let alloc_equiv ?mode ?machine cfg =
   res
 
 (* ------------------------------------------------------------------ *)
+(* The allocator's front-half structures                               *)
+(* ------------------------------------------------------------------ *)
+
+(* A renumbered routine as the allocator produces it: [Renumber.run_flat]
+   on the arena, bridged back to the structured view.  [cfg] must have
+   its critical edges split. *)
+type renumbered = {
+  cfg : Cfg.t;
+  tags : Remat.Tag.t Reg.Tbl.t;
+  split_pairs : (Reg.t * Reg.t) list;
+  n_values : int;
+  n_live_ranges : int;
+}
+
+let renumber mode cfg =
+  let r = Remat.Renumber.run_flat mode (Iloc.Flat.of_routine cfg) in
+  {
+    cfg = Iloc.Flat.to_routine r.Remat.Renumber.fl;
+    tags = r.Remat.Renumber.f_tags;
+    split_pairs = r.Remat.Renumber.f_split_pairs;
+    n_values = r.Remat.Renumber.f_n_values;
+    n_live_ranges = r.Remat.Renumber.f_n_live_ranges;
+  }
+
+(* The interference graph of a φ-free routine as the allocator builds
+   it: boundary liveness of the arena fed to the flat builder. *)
+let graph ?k cfg =
+  let fl = Iloc.Flat.of_routine cfg in
+  Remat.Interference.build_flat_boundary ?k
+    (Dataflow.Reg_index.of_flat fl)
+    fl
+    (Dataflow.Liveness.Boundary.compute fl)
+
+(* ------------------------------------------------------------------ *)
 (* Random structured programs                                          *)
 (* ------------------------------------------------------------------ *)
 
