@@ -10,7 +10,9 @@
    differential test; the timing table then shows the asymptotic gap.
    A full Remat.Allocator.run per size records end-to-end per-phase
    seconds and minor-heap words through Stats, and Verify.Check proves
-   that allocation, timed on its own. *)
+   that allocation, timed on its own.  Every size is also allocated by
+   the SSA family and that allocation proved, both timed outside the
+   instrumented run. *)
 
 module Cfg = Iloc.Cfg
 module Gen = Fuzz.Gen
@@ -112,6 +114,9 @@ type row = {
   verify_s : float;
       (** {!Verify.Check.routine} on the instrumented allocation, timed
           outside every other phase *)
+  ssa : float * float;
+      (** the [ssa] family on the same input: seconds of one allocation,
+          then of its proof *)
 }
 
 (* At and above [big_threshold] sizes run as this row instead: the flat
@@ -132,6 +137,7 @@ type big_row = {
           major words) summed over rounds *)
   bcounters : (string * int) list;  (** see {!row.counters} *)
   bverify_s : float;  (** see {!row.verify_s} *)
+  bssa : float * float;  (** see {!row.ssa} *)
 }
 
 exception Divergence of string
@@ -161,6 +167,15 @@ let prove input (res : Remat.Allocator.result) =
                %s"
               input.Cfg.name
               (String.concat "; " (List.map Verify.Error.to_string es))))
+
+(* One allocation of [input] by the SSA family, then its proof, timed
+   apart: (allocation seconds, proof seconds).  A rejection raises
+   {!Divergence} through {!prove}. *)
+let ssa_alloc input =
+  let t0 = Unix.gettimeofday () in
+  let res = Remat.Allocator.run ~mode:Remat.Mode.Ssa_remat ~machine input in
+  let dt = Unix.gettimeofday () -. t0 in
+  (dt, prove input res)
 
 (* Per-phase (seconds, minor words, major words) of one instrumented
    allocation, summed over spill rounds, in first-seen phase order. *)
@@ -268,6 +283,7 @@ let measure ~repeats ~target seed =
        (Cfg.to_string res.Remat.Allocator.cfg)
        (Cfg.to_string res_batched.Remat.Allocator.cfg));
   let verify_s = prove (cfg ()) res in
+  let ssa = ssa_alloc (cfg ()) in
   let alloc = alloc_stats res in
   {
     target;
@@ -281,6 +297,7 @@ let measure ~repeats ~target seed =
     alloc;
     counters = build_counters res_batched;
     verify_s;
+    ssa;
   }
 
 (* Dense liveness keeps |blocks| x |regs|-bit rows per family; at 100k
@@ -322,6 +339,7 @@ let measure_big ~repeats ~target seed =
      by the small tier's byte-compare and the A/B property tests. *)
   let res = Remat.Allocator.run ~mode ~machine cfg in
   let bverify_s = prove cfg res in
+  let bssa = ssa_alloc cfg in
   (* Up to the dense cutoff, re-run with the batched builder forced off
      and byte-compare: the CI smoke size (100k) then proves batched ≡
      incremental at a five-digit node count on every bench run.  Above
@@ -348,6 +366,7 @@ let measure_big ~repeats ~target seed =
     balloc = alloc_stats res;
     bcounters = build_counters res;
     bverify_s;
+    bssa;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -371,6 +390,9 @@ let pp_alloc ppf alloc counters =
     alloc;
   List.iter (fun (name, v) -> Format.fprintf ppf " %s=%d" name v) counters
 
+let pp_ssa ppf (alloc_s, verify_s) =
+  Format.fprintf ppf " | ssa %.4fs verify %.4fs@." alloc_s verify_s
+
 let pp ppf rows =
   Format.fprintf ppf
     "=== Scale benchmark: coloring core, old vs new ===@.\
@@ -392,12 +414,14 @@ let pp ppf rows =
     rows;
   Format.fprintf ppf
     "@.full allocator (new), per-phase seconds (share of total), \
-     minor/major kwords, then the static checker's seconds:@.";
+     minor/major kwords, the static checker's seconds, then the ssa@.\
+     family's allocation and proof seconds:@.";
   List.iter
     (fun r ->
       Format.fprintf ppf "%8d |" r.target;
       pp_alloc ppf r.alloc r.counters;
-      Format.fprintf ppf " | verify %.4fs@." r.verify_s)
+      Format.fprintf ppf " | verify %.4fs" r.verify_s;
+      pp_ssa ppf r.ssa)
     rows;
   Format.fprintf ppf "@."
 
@@ -421,12 +445,14 @@ let pp_big ppf rows =
     rows;
   Format.fprintf ppf
     "@.end-to-end flat allocation, per-phase seconds (share of total), \
-     minor/major kwords, then the static checker's seconds:@.";
+     minor/major kwords, the static checker's seconds, then the ssa@.\
+     family's allocation and proof seconds:@.";
   List.iter
     (fun r ->
       Format.fprintf ppf "%8d |" r.btarget;
       pp_alloc ppf r.balloc r.bcounters;
-      Format.fprintf ppf " | verify %.4fs@." r.bverify_s)
+      Format.fprintf ppf " | verify %.4fs" r.bverify_s;
+      pp_ssa ppf r.bssa)
     rows;
   Format.fprintf ppf "@."
 

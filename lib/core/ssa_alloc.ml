@@ -27,11 +27,11 @@ type result = {
    rematerialization 1, every store 2, weighted by 10^loop-depth of the
    site.  φ traffic is charged at the predecessor's weight — that is
    where the memory-φ store or the argument reload lands. *)
-let cost_table (cfg : Cfg.t) loops tag_of =
-  let costs = Reg.Tbl.create 64 in
+let cost_table ~cap (cfg : Cfg.t) loops tag_of =
+  let costs = Array.make cap 0. in
   let add r x =
-    Reg.Tbl.replace costs r
-      (x +. Option.value (Reg.Tbl.find_opt costs r) ~default:0.)
+    let p = Reg.hash r in
+    costs.(p) <- x +. costs.(p)
   in
   let w b = Dataflow.Loops.weight loops b in
   let remat r = Tag.is_inst (tag_of r) in
@@ -52,156 +52,262 @@ let cost_table (cfg : Cfg.t) loops tag_of =
           (match i.Instr.dst with
           | Some d when not (remat d) -> add d (2. *. wb)
           | _ -> ());
-          List.iter (fun u -> add u (use_cost u wb)) (Instr.uses i))
+          Array.iter (fun u -> add u (use_cost u wb)) i.Instr.srcs)
         b)
     cfg;
-  fun r -> Option.value (Reg.Tbl.find_opt costs r) ~default:0.
+  costs
 
 (* ------------------------------------------------------------------ *)
 (* Spill selection                                                     *)
 
 (* One sweep over every program point, accumulating the set of values to
-   spill this round.  A point is described by [counted] — the registers
-   occupying a color there, [sticky] when spilling cannot relieve the
-   point (instruction operands keep a temporary alive at their site) —
-   and [candidates], the registers whose spilling frees one color here.
-   At a block's end point the candidates also include successor
-   φ-destinations: spilling one turns its φ into a memory φ, whose edge
-   store reaches the slot through a transient pair instead of holding
-   the argument's register across the edge. *)
-let select (cfg : Cfg.t) (live : Liveness.t) ~k ~cost ~spillable =
-  let chosen = ref Reg.Set.empty in
-  let stuck = ref None in
-  let classes = [ Reg.Int; Reg.Float ] in
-  let reduce ~where ~counted ~candidates =
-    List.iter
-      (fun cls ->
-        let n =
-          List.fold_left
-            (fun n (r, sticky) ->
-              if
-                Reg.cls_equal (Reg.cls r) cls
-                && (sticky || not (Reg.Set.mem r !chosen))
-              then n + 1
-              else n)
-            0 counted
-        in
-        let kc = k cls in
-        if n > kc then begin
-          let cands =
-            List.sort_uniq Reg.compare candidates
-            |> List.filter (fun r ->
-                   Reg.cls_equal (Reg.cls r) cls
-                   && spillable r
-                   && not (Reg.Set.mem r !chosen))
-            |> List.map (fun r -> (cost r, r))
-            |> List.sort (fun (c1, r1) (c2, r2) ->
-                   match Float.compare c1 c2 with
-                   | 0 -> Reg.compare r1 r2
-                   | c -> c)
-          in
-          let need = ref (n - kc) in
-          List.iter
-            (fun (_, r) ->
-              if !need > 0 then begin
-                chosen := Reg.Set.add r !chosen;
-                decr need
-              end)
-            cands;
-          if !need > 0 && !stuck = None then stuck := Some where
-        end)
-      classes
+   spill this round.  A point is described by the registers occupying a
+   color there — {e sticky} ones when spilling cannot relieve the point
+   (instruction operands keep a temporary alive at their site) — and
+   its {e candidates}, the registers whose spilling frees one color
+   here.  Per block and class:
+
+   - entry: live-in values and every φ destination, none sticky, all
+     candidates;
+   - before an instruction: its sources are sticky, every other value
+     live there is a candidate;
+   - at a definition: the destination is sticky, the values live across
+     the instruction are candidates;
+   - end: live-out values, sticky when the terminator reads them or a
+     kept successor φ takes them as its argument; the others and the
+     successor φ destinations are candidates — spilling a destination
+     turns its φ into a memory φ, whose edge store reaches the slot
+     through a transient pair instead of holding the argument's
+     register across the edge.
+
+   A point holding more than k registers of a class spills its
+   cheapest unchosen candidates (by [(cost, Reg.compare)]) until it
+   fits; a point that cannot fit is the stuck point reported when
+   nothing at all was chosen.
+
+   Pressure is counted, not enumerated: per block a backward pass from
+   [live_out] notes each instruction's dying sources and dead
+   destination, then a forward pass keeps the live values in a sparse
+   set keyed by packed id (Briggs–Torczon: O(1) insert, delete and
+   clear) with per-class counts of members not yet chosen, so a point's
+   pressure costs O(operands).  Candidate lists are built and sorted
+   only where a class exceeds k. *)
+let select (cfg : Cfg.t) (live : Liveness.Ssa.t) ~cap ~k ~cost ~spillable =
+  let chosen = Bytes.make cap '\000' in
+  let chosen_rev = ref [] in
+  let[@inline] is_chosen p = Bytes.unsafe_get chosen p <> '\000' in
+  let stuck = ref (-1) in
+  (* The sparse set: [dense.(0 .. !size-1)] are the members, and
+     [sparse.(p)] is p's index there when p is a member. *)
+  let dense = Array.make (max cap 1) 0 and sparse = Array.make cap 0 in
+  let size = ref 0 in
+  let[@inline] mem p =
+    let i = Array.unsafe_get sparse p in
+    i < !size && Array.unsafe_get dense i = p
   in
+  (* Members not yet chosen, by class (packed bit 0: 0 int, 1 float). *)
+  let free = [| 0; 0 |] in
+  let add p =
+    if not (mem p) then begin
+      sparse.(p) <- !size;
+      dense.(!size) <- p;
+      incr size;
+      if not (is_chosen p) then free.(p land 1) <- free.(p land 1) + 1
+    end
+  in
+  let remove p =
+    if mem p then begin
+      let i = sparse.(p) and last = dense.(!size - 1) in
+      dense.(i) <- last;
+      sparse.(last) <- i;
+      decr size;
+      if not (is_chosen p) then free.(p land 1) <- free.(p land 1) - 1
+    end
+  in
+  let choose p =
+    Bytes.unsafe_set chosen p '\001';
+    chosen_rev := p :: !chosen_rev;
+    if mem p then free.(p land 1) <- free.(p land 1) - 1
+  in
+  let k_of = [| k Reg.Int; k Reg.Float |] in
+  (* [n] registers of class [c] occupy colors at a point of block [bid]
+     whose candidates [cands ()] enumerates (repeats allowed): spill the
+     cheapest eligible ones until the class fits. *)
+  let reduce bid c n cands =
+    let kc = k_of.(c) in
+    if n > kc then begin
+      let order a b =
+        match Float.compare cost.(a) cost.(b) with
+        | 0 -> Int.compare a b
+        | o -> o
+      in
+      let need = ref (n - kc) in
+      let last = ref (-1) in
+      List.iter
+        (fun p ->
+          if p <> !last then begin
+            last := p;
+            if !need > 0 then begin
+              choose p;
+              decr need
+            end
+          end)
+        (List.sort order
+           (List.filter
+              (fun p ->
+                p land 1 = c
+                && (not (is_chosen p))
+                && spillable (Iloc.Flat.reg_of_packed p))
+              (cands ())));
+      if !need > 0 && !stuck < 0 then stuck := bid
+    end
+  in
+  let members () = List.init !size (fun i -> dense.(i)) in
+  (* Per-instruction notes of the backward pass, indexed by position in
+     the block: bit j set when source j dies there (the first occurrence
+     of a register that is not live across the instruction), bit 3 when
+     the destination is dead.  No instruction has more than three
+     sources. *)
+  let notes = ref (Array.make 16 0) in
+  (* Per-register stamps at the end point: [stick.(p) = bid] when p is
+     sticky there. *)
+  let stick = Array.make cap (-1) in
   Cfg.iter_blocks
     (fun b ->
       let bid = b.Block.id in
-      let where = Printf.sprintf "block %s" b.Block.label in
-      (* Entry point: live-in values and every φ destination coexist
-         just after the entry parallel copy. *)
-      let live_in_regs = Liveness.live_in live bid in
-      let dests = List.map (fun (p : Phi.t) -> p.Phi.dst) b.Block.phis in
-      reduce ~where
-        ~counted:(List.map (fun r -> (r, false)) (live_in_regs @ dests))
-        ~candidates:(live_in_regs @ dests);
-      (* Instruction points, from per-instruction live-after sets. *)
-      let live_out_set =
-        List.fold_left
-          (fun s r -> Reg.Set.add r s)
-          Reg.Set.empty (Liveness.live_out live bid)
-      in
       let instrs = Array.of_list (b.Block.body @ [ b.Block.term ]) in
       let n = Array.length instrs in
-      let after = Array.make n Reg.Set.empty in
-      let cur = ref live_out_set in
+      if Array.length !notes < n then notes := Array.make (2 * n) 0;
+      let notes = !notes in
+      (* Backward pass: the set ends as the live values before the
+         first instruction. *)
+      size := 0;
+      free.(0) <- 0;
+      free.(1) <- 0;
+      List.iter (fun r -> add (Reg.hash r)) live.Liveness.Ssa.live_out.(bid);
       for idx = n - 1 downto 0 do
-        after.(idx) <- !cur;
         let i = instrs.(idx) in
-        let s =
-          List.fold_left (fun s d -> Reg.Set.remove d s) !cur (Instr.defs i)
-        in
-        cur := List.fold_left (fun s u -> Reg.Set.add u s) s (Instr.uses i)
+        let note = ref 0 in
+        (match i.Instr.dst with
+        | Some d ->
+            let d = Reg.hash d in
+            if mem d then remove d else note := 8
+        | None -> ());
+        Array.iteri
+          (fun j u ->
+            let u = Reg.hash u in
+            if not (mem u) then begin
+              note := !note lor (1 lsl j);
+              add u
+            end)
+          i.Instr.srcs;
+        notes.(idx) <- !note
       done;
+      (* Entry point: live-in values and every φ destination coexist
+         just after the entry parallel copy. *)
+      let entry = live.Liveness.Ssa.live_in.(bid) in
+      let dests = List.map (fun (p : Phi.t) -> Reg.hash p.Phi.dst) b.Block.phis in
+      let cands () = List.map Reg.hash entry @ dests in
+      for c = 0 to 1 do
+        let n = ref 0 in
+        let see p = if p land 1 = c && not (is_chosen p) then incr n in
+        List.iter (fun r -> see (Reg.hash r)) entry;
+        List.iter see dests;
+        reduce bid c !n cands
+      done;
+      (* Instruction points. *)
       for idx = 0 to n - 1 do
         let i = instrs.(idx) in
-        let defs = Instr.defs i in
-        let uses = List.sort_uniq Reg.compare (Instr.uses i) in
-        let after_minus_defs =
-          List.fold_left (fun s d -> Reg.Set.remove d s) after.(idx) defs
+        let srcs = i.Instr.srcs in
+        let ns = Array.length srcs in
+        let src j = Reg.hash srcs.(j) in
+        (* Distinct sources: the first occurrence of each register. *)
+        let first j =
+          let p = src j in
+          let rec go j' = j' >= j || (src j' <> p && go (j' + 1)) in
+          go 0
         in
-        let through = Reg.Set.elements after_minus_defs in
-        let through_nonuse =
-          List.filter (fun r -> not (List.exists (Reg.equal r) uses)) through
+        (* Sources are sticky, so they count whether chosen or not;
+           [free] already counts the unchosen ones. *)
+        let chosen_srcs = [| 0; 0 |] in
+        for j = 0 to ns - 1 do
+          let p = src j in
+          if first j && is_chosen p then
+            chosen_srcs.(p land 1) <- chosen_srcs.(p land 1) + 1
+        done;
+        let is_src p =
+          let rec go j = j < ns && (src j = p || go (j + 1)) in
+          go 0
         in
-        reduce ~where
-          ~counted:
-            (List.map (fun u -> (u, true)) uses
-            @ List.map (fun r -> (r, false)) through_nonuse)
-          ~candidates:through_nonuse;
-        if defs <> [] then
-          reduce ~where
-            ~counted:
-              (List.map (fun d -> (d, true)) defs
-              @ List.map (fun r -> (r, false)) through)
-            ~candidates:through
+        for c = 0 to 1 do
+          reduce bid c (free.(c) + chosen_srcs.(c)) (fun () ->
+              List.filter (fun p -> not (is_src p)) (members ()))
+        done;
+        let note = notes.(idx) in
+        for j = 0 to ns - 1 do
+          if note land (1 lsl j) <> 0 then remove (src j)
+        done;
+        match i.Instr.dst with
+        | Some d ->
+            let d = Reg.hash d in
+            for c = 0 to 1 do
+              reduce bid c
+                (free.(c) + if d land 1 = c then 1 else 0)
+                members
+            done;
+            if note land 8 = 0 then add d
+        | None -> ()
       done;
       (* End point: successor φ-arguments are live here; relieving one
          means spilling the φ's destination, not the argument. *)
-      let term_uses = List.sort_uniq Reg.compare (Instr.uses b.Block.term) in
+      Array.iter (fun u -> stick.(Reg.hash u) <- bid) b.Block.term.Instr.srcs;
       let succ_phis =
         match Cfg.succs cfg bid with
         | [ s ] -> (Cfg.block cfg s).Block.phis
         | _ -> []
       in
-      let arg_of_kept v =
-        List.exists
-          (fun (p : Phi.t) ->
-            (not (Reg.Set.mem p.Phi.dst !chosen))
-            && Reg.equal (Phi.arg_for p ~pred:bid) v)
-          succ_phis
-      in
-      let out = Liveness.live_out live bid in
-      let counted =
-        List.map
-          (fun v ->
-            (v, List.exists (Reg.equal v) term_uses || arg_of_kept v))
-          out
-      in
-      let value_cands =
-        List.filter
-          (fun v ->
-            (not (List.exists (Reg.equal v) term_uses)) && not (arg_of_kept v))
-          out
-      in
-      let dest_cands =
+      List.iter
+        (fun (p : Phi.t) ->
+          if not (is_chosen (Reg.hash p.Phi.dst)) then
+            stick.(Reg.hash (Phi.arg_for p ~pred:bid)) <- bid)
+        succ_phis;
+      let out = live.Liveness.Ssa.live_out.(bid) in
+      let dests =
         List.filter_map
           (fun (p : Phi.t) ->
-            if Reg.Set.mem p.Phi.dst !chosen then None
-            else Some p.Phi.dst)
+            let d = Reg.hash p.Phi.dst in
+            if is_chosen d then None else Some d)
           succ_phis
       in
-      reduce ~where ~counted ~candidates:(value_cands @ dest_cands))
+      let cands () =
+        List.filter_map
+          (fun r ->
+            let p = Reg.hash r in
+            if stick.(p) = bid then None else Some p)
+          out
+        @ dests
+      in
+      for c = 0 to 1 do
+        let n = ref 0 in
+        List.iter
+          (fun r ->
+            let p = Reg.hash r in
+            if p land 1 = c && (stick.(p) = bid || not (is_chosen p)) then
+              incr n)
+          out;
+        reduce bid c !n cands
+      done)
     cfg;
-  (!chosen, !stuck)
+  let chosen =
+    List.fold_left
+      (fun s p -> Reg.Set.add (Iloc.Flat.reg_of_packed p) s)
+      Reg.Set.empty !chosen_rev
+  in
+  let stuck =
+    if !stuck < 0 then None
+    else Some (Printf.sprintf "block %s" (Cfg.block cfg !stuck).Block.label)
+  in
+  (chosen, stuck)
 
 (* ------------------------------------------------------------------ *)
 (* The spill rewrite                                                   *)
@@ -372,7 +478,7 @@ let rewrite_spills (cfg : Cfg.t) ~chosen ~tags ~infinite ~slots ~slot_counter =
 (* Chordal coloring                                                    *)
 
 let color_chordal (cfg : Cfg.t) (dom : Dataflow.Dominance.t)
-    (live : Liveness.t) ~k =
+    (live : Liveness.Ssa.t) ~k =
   let color = Reg.Tbl.create 64 in
   let color_of r = Reg.Tbl.find color r in
   let cls_idx = function Reg.Int -> 0 | Reg.Float -> 1 in
@@ -381,7 +487,7 @@ let color_chordal (cfg : Cfg.t) (dom : Dataflow.Dominance.t)
     let b = Cfg.block cfg bid in
     let busy = [| Array.make (k Reg.Int) false; Array.make (k Reg.Float) false |] in
     let set r v = busy.(cls_idx (Reg.cls r)).(color_of r) <- v in
-    List.iter (fun r -> set r true) (Liveness.live_in live bid);
+    List.iter (fun r -> set r true) live.Liveness.Ssa.live_in.(bid);
     let assign ?biased r =
       let ci = cls_idx (Reg.cls r) in
       let arr = busy.(ci) in
@@ -429,7 +535,7 @@ let color_chordal (cfg : Cfg.t) (dom : Dataflow.Dominance.t)
       ref
         (List.fold_left
            (fun s r -> Reg.Set.add r s)
-           Reg.Set.empty (Liveness.live_out live bid))
+           Reg.Set.empty live.Liveness.Ssa.live_out.(bid))
     in
     for idx = n - 1 downto 0 do
       let i = instrs.(idx) in
@@ -512,15 +618,16 @@ let run ~mode ~machine ~max_rounds ~stats (cfg0 : Cfg.t) =
   let spilled_remat = ref Reg.Set.empty in
   let spillable r = not (Reg.Tbl.mem infinite r) in
   let rec rounds r =
-    let live =
+    let cap, live =
       Stats.time stats ~round:r Stats.Liveness (fun () ->
-          Liveness.compute_ssa cfg)
+          let cap = Liveness.Ssa.capacity cfg in
+          (cap, Liveness.Ssa.compute ~cap cfg))
     in
     Stats.count stats ~round:r Stats.Liveness_runs 1;
     let chosen, stuck =
       Stats.time stats ~round:r Stats.Costs (fun () ->
-          let cost = cost_table cfg loops tag_of in
-          select cfg live ~k ~cost ~spillable)
+          let cost = cost_table ~cap cfg loops tag_of in
+          select cfg live ~cap ~k ~cost ~spillable)
     in
     if Reg.Set.is_empty chosen then begin
       (match stuck with
@@ -532,7 +639,12 @@ let run ~mode ~machine ~max_rounds ~stats (cfg0 : Cfg.t) =
                   cfg.Cfg.name where machine.Machine.k_int
                   machine.Machine.k_float))
       | None -> ());
-      (r, live)
+      (* MaxLive of the final form belongs to this round's liveness. *)
+      let mi, mf =
+        Stats.time stats ~round:r Stats.Liveness (fun () ->
+            Liveness.Ssa.max_live ~cap cfg live)
+      in
+      (r, live, mi, mf)
     end
     else if r >= max_rounds then
       raise
@@ -552,8 +664,7 @@ let run ~mode ~machine ~max_rounds ~stats (cfg0 : Cfg.t) =
       rounds (r + 1)
     end
   in
-  let nrounds, live = rounds 1 in
-  let mi, mf = Liveness.max_live_ssa cfg live in
+  let nrounds, live, mi, mf = rounds 1 in
   let max_live_int = Array.fold_left max 0 mi in
   let max_live_float = Array.fold_left max 0 mf in
   let color, max_colors_int, max_colors_float =
@@ -607,7 +718,7 @@ let run ~mode ~machine ~max_rounds ~stats (cfg0 : Cfg.t) =
                           (fun r ->
                             let arr = if Reg.is_float r then uf else ui in
                             arr.(Reg.Tbl.find color r) <- true)
-                          (Liveness.live_out live pred);
+                          live.Liveness.Ssa.live_out.(pred);
                         Hashtbl.replace edge_used pred (ui, uf);
                         (ui, uf)
                   in

@@ -54,6 +54,46 @@ type result = {
           [max_colors ≤ max_live ≤ k] per class *)
 }
 
+val cost_table :
+  cap:int ->
+  Iloc.Cfg.t ->
+  Dataflow.Loops.t ->
+  (Iloc.Reg.t -> Tag.t) ->
+  float array
+(** [cost_table ~cap cfg loops tag_of] — every value's spill cost, keyed
+    by packed id ({!Iloc.Reg.hash}, [cap] from
+    {!Dataflow.Liveness.Ssa.capacity}): each reload costs 2 and each
+    rematerialization 1, each store 2, weighted by 10^loop-depth of the
+    site; φ traffic is charged at the predecessor's weight.  Exported
+    for the selection oracle property in [test/test_ssa_pipeline.ml]. *)
+
+val select :
+  Iloc.Cfg.t ->
+  Dataflow.Liveness.Ssa.t ->
+  cap:int ->
+  k:(Iloc.Reg.cls -> int) ->
+  cost:float array ->
+  spillable:(Iloc.Reg.t -> bool) ->
+  Iloc.Reg.Set.t * string option
+(** One spill round's selection: the values to spill so that every
+    program point fits [k] per class, and the first block (["block
+    <label>"]) holding a point that cannot fit whatever is spilled.
+    Exported for the oracle property that compares it with the dense
+    selection kept in [test/reference.ml]. *)
+
+val rewrite_spills :
+  Iloc.Cfg.t ->
+  chosen:Iloc.Reg.Set.t ->
+  tags:Tag.t Iloc.Reg.Tbl.t ->
+  infinite:unit Iloc.Reg.Tbl.t ->
+  slots:int Iloc.Reg.Tbl.t ->
+  slot_counter:int ref ->
+  unit
+(** Spill [chosen] everywhere, in place: reloads or rematerializations
+    before uses, stores after definitions, memory φs for spilled φ
+    destinations.  Exported so the oracle properties can check a second
+    spill round. *)
+
 val run :
   mode:Mode.t ->
   machine:Machine.t ->

@@ -87,118 +87,189 @@ let compute ?order (cfg : Iloc.Cfg.t) =
     ~live_in ~live_out ~ue ~kill;
   { regs; live_in; live_out; ue; kill }
 
-(* φ-aware liveness over an SSA-form routine, for the decoupled
-   spill-then-color pipeline.  The equations treat a φ-node's arguments
-   as used at the end of the matching predecessor and its destination as
-   defined at the block's entry (Bouchez–Darte–Rastello):
+module Ssa = struct
+  (* φ-aware liveness over an SSA-form routine, for the decoupled
+     spill-then-color pipeline.  The equations treat a φ-node's
+     arguments as used at the end of the matching predecessor and its
+     destination as defined at the block's entry (Bouchez–Darte–
+     Rastello):
 
-     kill(b)     = instruction defs of b ∪ φ destinations of b
-     ue(b)       = upward-exposed instruction uses of b (φ args excluded)
-     live_out(b) = ∪_{s ∈ succ(b)} (live_in(s) ∪ φ-args on edge b→s)
-     live_in(b)  = ue(b) ∪ (live_out(b) \ kill(b))
+       kill(b)     = instruction defs of b ∪ φ destinations of b
+       ue(b)       = upward-exposed instruction uses of b (φ args excluded)
+       live_out(b) = ∪_{s ∈ succ(b)} (live_in(s) ∪ φ-args on edge b→s)
+       live_in(b)  = ue(b) ∪ (live_out(b) \ kill(b))
 
-   The edge-specific φ-arg term is constant, so it is folded into the
-   initial [live_out] seed and the shared worklist [solve] — which only
-   ever grows [live_out] by successors' [live_in] — computes the rest. *)
-let compute_ssa ?order (cfg : Iloc.Cfg.t) =
-  let regs = Reg_index.of_cfg cfg in
-  let nr = Reg_index.count regs in
-  let nb = Iloc.Cfg.n_blocks cfg in
-  let ue = Array.init nb (fun _ -> Bitset.create nr) in
-  let kill = Array.init nb (fun _ -> Bitset.create nr) in
-  let live_in = Array.init nb (fun _ -> Bitset.create nr) in
-  let live_out = Array.init nb (fun _ -> Bitset.create nr) in
-  Iloc.Cfg.iter_blocks
-    (fun b ->
-      let ue_b = ue.(b.Iloc.Block.id) and kill_b = kill.(b.Iloc.Block.id) in
-      List.iter
-        (fun (p : Iloc.Phi.t) ->
-          Bitset.unsafe_add kill_b (Reg_index.index regs p.Iloc.Phi.dst);
-          List.iter
-            (fun (pred, arg) ->
-              Bitset.unsafe_add live_out.(pred) (Reg_index.index regs arg))
-            p.Iloc.Phi.args)
-        b.Iloc.Block.phis;
-      Iloc.Block.iter_instrs
-        (fun i ->
-          List.iter
-            (fun u ->
-              let ui = Reg_index.index regs u in
-              if not (Bitset.unsafe_mem kill_b ui) then Bitset.unsafe_add ue_b ui)
-            (Iloc.Instr.uses i);
-          List.iter
-            (fun d -> Bitset.unsafe_add kill_b (Reg_index.index regs d))
-            (Iloc.Instr.defs i))
-        b)
-    cfg;
-  let po = match order with Some o -> o | None -> Order.postorder cfg in
-  solve ~nb ~nr ~po
-    ~succs_iter:(fun b f -> List.iter f (Iloc.Cfg.succs cfg b))
-    ~preds_iter:(fun b f -> List.iter f (Iloc.Cfg.preds cfg b))
-    ~live_in ~live_out ~ue ~kill;
-  { regs; live_in; live_out; ue; kill }
+     Solved one register at a time by path exploration (Brandner et
+     al., "Computing Liveness Sets for SSA-Form Programs"): a register
+     is live-in wherever a backward walk from one of its use sites
+     reaches before meeting a block that kills it.  That is the least
+     fixpoint of the equations — what a worklist over dense
+     [|blocks| x |registers|] rows converges to — at the cost of the
+     rows' actual size. *)
+  type t = { live_in : Iloc.Reg.t list array; live_out : Iloc.Reg.t list array }
 
-(* Pointwise register pressure of an SSA routine, per block and class,
-   from the boundary rows of {!compute_ssa}: one backward walk per block
-   from [live_out] (which includes φ-args of successor edges), noting
-   the peak before/after every instruction, plus the block-entry point
-   where live-in values and all φ destinations are live at once (the
-   entry parallel copy has written every destination before any body
-   instruction runs). *)
-let max_live_ssa (cfg : Iloc.Cfg.t) (t : t) =
-  let nb = Iloc.Cfg.n_blocks cfg in
-  let mi = Array.make nb 0 and mf = Array.make nb 0 in
-  let nr = Reg_index.count t.regs in
-  let is_float = Array.make nr false in
-  for i = 0 to nr - 1 do
-    is_float.(i) <- Iloc.Reg.is_float (Reg_index.reg t.regs i)
-  done;
-  Iloc.Cfg.iter_blocks
-    (fun b ->
-      let id = b.Iloc.Block.id in
-      let live = Bitset.create nr in
-      ignore (Bitset.union_into ~dst:live t.live_out.(id));
-      let ci = ref 0 and cf = ref 0 in
-      Bitset.iter (fun i -> if is_float.(i) then incr cf else incr ci) live;
-      let note () =
-        if !ci > mi.(id) then mi.(id) <- !ci;
-        if !cf > mf.(id) then mf.(id) <- !cf
-      in
-      note ();
-      let add i =
-        if not (Bitset.mem live i) then begin
-          Bitset.add live i;
-          if is_float.(i) then incr cf else incr ci
-        end
-      in
-      let remove i =
-        if Bitset.mem live i then begin
-          Bitset.remove live i;
-          if is_float.(i) then decr cf else decr ci
-        end
-      in
-      let instr (i : Iloc.Instr.t) =
-        (* At the definition point the destination coexists with
-           everything live after the instruction (a dead definition
-           still occupies a register there). *)
-        List.iter (fun d -> add (Reg_index.index t.regs d)) (Iloc.Instr.defs i);
-        note ();
+  let capacity (cfg : Iloc.Cfg.t) =
+    let m = ref (-1) in
+    let see r =
+      let p = Iloc.Reg.hash r in
+      if p > !m then m := p
+    in
+    Iloc.Cfg.iter_blocks
+      (fun b ->
         List.iter
-          (fun d -> remove (Reg_index.index t.regs d))
-          (Iloc.Instr.defs i);
-        List.iter (fun u -> add (Reg_index.index t.regs u)) (Iloc.Instr.uses i);
-        note ()
-      in
-      instr b.Iloc.Block.term;
-      List.iter instr (List.rev b.Iloc.Block.body);
-      (* Block entry, after the φ parallel copy: live-in ∪ φ dests. *)
-      List.iter
-        (fun (p : Iloc.Phi.t) ->
-          add (Reg_index.index t.regs p.Iloc.Phi.dst))
-        b.Iloc.Block.phis;
-      note ())
-    cfg;
-  (mi, mf)
+          (fun (p : Iloc.Phi.t) ->
+            see p.Iloc.Phi.dst;
+            List.iter (fun (_, a) -> see a) p.Iloc.Phi.args)
+          b.Iloc.Block.phis;
+        Iloc.Block.iter_instrs
+          (fun i ->
+            Option.iter see i.Iloc.Instr.dst;
+            Array.iter see i.Iloc.Instr.srcs)
+          b)
+      cfg;
+    !m + 1
+
+  (* Site lists are consed block by block in ascending block order, so
+     a repeat within one block is the list's head. *)
+  let[@inline] note_site sites p b =
+    match Array.unsafe_get sites p with
+    | b' :: _ when b' = b -> ()
+    | l -> Array.unsafe_set sites p (b :: l)
+
+  let compute ~cap (cfg : Iloc.Cfg.t) =
+    let nb = Iloc.Cfg.n_blocks cfg in
+    let reach = Order.reachable cfg in
+    (* One sweep: per packed id, the blocks that kill it, the blocks
+       where it is upward-exposed, and the predecessors whose end it is
+       a φ argument at.  [defined] is an epoch array keyed by block id:
+       φ destinations are defined before the body runs. *)
+    let kills = Array.make cap [] in
+    let ues = Array.make cap [] in
+    let seeds = Array.make cap [] in
+    let defined = Array.make cap (-1) in
+    Iloc.Cfg.iter_blocks
+      (fun b ->
+        let id = b.Iloc.Block.id in
+        List.iter
+          (fun (p : Iloc.Phi.t) ->
+            let d = Iloc.Reg.hash p.Iloc.Phi.dst in
+            defined.(d) <- id;
+            note_site kills d id;
+            List.iter
+              (fun (pred, a) ->
+                let a = Iloc.Reg.hash a in
+                seeds.(a) <- pred :: seeds.(a))
+              p.Iloc.Phi.args)
+          b.Iloc.Block.phis;
+        Iloc.Block.iter_instrs
+          (fun i ->
+            Array.iter
+              (fun u ->
+                let u = Iloc.Reg.hash u in
+                if defined.(u) <> id then note_site ues u id)
+              i.Iloc.Instr.srcs;
+            match i.Iloc.Instr.dst with
+            | Some d ->
+                let d = Iloc.Reg.hash d in
+                defined.(d) <- id;
+                note_site kills d id
+            | None -> ())
+          b)
+      cfg;
+    (* The walks.  Stamps hold the packed id being walked, so no array
+       is cleared between registers; taking registers in descending
+       packed order and consing makes every row ascending in
+       [Reg.compare] order.  Unreachable blocks follow the worklist's
+       convention: never live-in, live-out only through their own φ
+       seeds, and never reached from a successor. *)
+    let live_in = Array.make nb [] and live_out = Array.make nb [] in
+    let in_stamp = Array.make nb (-1) and out_stamp = Array.make nb (-1) in
+    let kill_stamp = Array.make nb (-1) in
+    let stack = Array.make (max nb 1) 0 and sp = ref 0 in
+    for p = cap - 1 downto 0 do
+      if ues.(p) <> [] || seeds.(p) <> [] then begin
+        let r = Iloc.Flat.reg_of_packed p in
+        List.iter (fun b -> kill_stamp.(b) <- p) kills.(p);
+        let enter b =
+          if reach.(b) && in_stamp.(b) <> p then begin
+            in_stamp.(b) <- p;
+            live_in.(b) <- r :: live_in.(b);
+            stack.(!sp) <- b;
+            incr sp
+          end
+        in
+        let leave q =
+          if out_stamp.(q) <> p then begin
+            out_stamp.(q) <- p;
+            live_out.(q) <- r :: live_out.(q);
+            if kill_stamp.(q) <> p then enter q
+          end
+        in
+        List.iter enter ues.(p);
+        List.iter leave seeds.(p);
+        while !sp > 0 do
+          decr sp;
+          List.iter
+            (fun q -> if reach.(q) then leave q)
+            (Iloc.Cfg.preds cfg stack.(!sp))
+        done
+      end
+    done;
+    { live_in; live_out }
+
+  (* Pointwise register pressure per block and class: one backward walk
+     per block from [live_out] (which includes φ-args of successor
+     edges), noting the peak before/after every instruction, plus the
+     block-entry point where live-in values and all φ destinations are
+     live at once (the entry parallel copy has written every
+     destination before any body instruction runs).  [live] is an epoch
+     array keyed by block id, so it is never cleared. *)
+  let max_live ~cap (cfg : Iloc.Cfg.t) t =
+    let nb = Iloc.Cfg.n_blocks cfg in
+    let mi = Array.make nb 0 and mf = Array.make nb 0 in
+    let live = Array.make cap (-1) in
+    Iloc.Cfg.iter_blocks
+      (fun b ->
+        let id = b.Iloc.Block.id in
+        let ci = ref 0 and cf = ref 0 in
+        let note () =
+          if !ci > mi.(id) then mi.(id) <- !ci;
+          if !cf > mf.(id) then mf.(id) <- !cf
+        in
+        let add r =
+          let p = Iloc.Reg.hash r in
+          if live.(p) <> id then begin
+            live.(p) <- id;
+            if p land 1 = 1 then incr cf else incr ci
+          end
+        in
+        let remove r =
+          let p = Iloc.Reg.hash r in
+          if live.(p) = id then begin
+            live.(p) <- -1;
+            if p land 1 = 1 then decr cf else decr ci
+          end
+        in
+        List.iter add t.live_out.(id);
+        note ();
+        let instr (i : Iloc.Instr.t) =
+          (* At the definition point the destination coexists with
+             everything live after the instruction (a dead definition
+             still occupies a register there). *)
+          Option.iter add i.Iloc.Instr.dst;
+          note ();
+          Option.iter remove i.Iloc.Instr.dst;
+          Array.iter add i.Iloc.Instr.srcs;
+          note ()
+        in
+        instr b.Iloc.Block.term;
+        List.iter instr (List.rev b.Iloc.Block.body);
+        (* Block entry, after the φ parallel copy: live-in ∪ φ dests. *)
+        List.iter (fun (p : Iloc.Phi.t) -> add p.Iloc.Phi.dst) b.Iloc.Block.phis;
+        note ())
+      cfg;
+    (mi, mf)
+end
 
 (* CSR edge iteration over a flat arena: no list cells, no closures per
    edge beyond the two allocated here per call. *)

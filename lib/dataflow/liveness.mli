@@ -37,28 +37,58 @@ val compute_flat : ?order:int array -> Iloc.Flat.t -> t
     buffer each).  The resulting sets are bit-identical to {!compute} of
     the bridged routine; [order] is {!Order.postorder_flat}. *)
 
-val compute_ssa : ?order:int array -> Iloc.Cfg.t -> t
-(** φ-aware liveness over an SSA-form routine, the decoupled pipeline's
-    pressure substrate: a φ-node's arguments are used at the end of the
-    matching predecessor (they join that predecessor's [live_out]) and
-    its destination is defined at the block's entry (it joins [kill] and
-    is in no [live_in]).  Non-SSA routines are accepted too, where the
-    equations degenerate to {!compute}'s. *)
-
-val max_live_ssa : Iloc.Cfg.t -> t -> int array * int array
-(** [max_live_ssa cfg t] — per-block MaxLive of the integer resp. float
-    class from the boundary rows of [compute_ssa cfg]: the peak number
-    of simultaneously live registers at any point of the block,
-    including the entry point where live-in values and every φ
-    destination coexist, and the block-end point where successor φ-args
-    are still live.  On SSA form this is the exact spill criterion of
-    "Spill Everywhere under SSA": the chordal interference graph is
-    colorable with [max MaxLive] colors per class. *)
-
 val live_in : t -> int -> Iloc.Reg.t list
 val live_out : t -> int -> Iloc.Reg.t list
 val live_in_mem : t -> int -> Iloc.Reg.t -> bool
 val live_out_mem : t -> int -> Iloc.Reg.t -> bool
+
+(** φ-aware liveness over an SSA-form routine, the decoupled
+    pipeline's pressure substrate: a φ-node's arguments are used at the
+    end of the matching predecessor (they join that predecessor's
+    [live_out]) and its destination is defined at the block's entry (it
+    kills the register there and is in no [live_in]).  Non-SSA routines
+    are accepted too, where the equations are {!compute}'s.
+
+    Computed per register by path exploration, not over dense rows: one
+    sweep records each register's killing blocks, upward-exposed use
+    sites and φ-argument predecessors, then each register is walked up
+    the predecessor edges from those sites, stopping at blocks that kill
+    it.  Nothing [|blocks| x |registers|]-sized is allocated; working
+    arrays are [capacity]-wide (packed ids, {!Iloc.Reg.hash}) or
+    block-wide. *)
+module Ssa : sig
+  type t = {
+    live_in : Iloc.Reg.t list array;
+    live_out : Iloc.Reg.t list array;
+  }
+  (** Per-block rows, each in ascending [Reg.compare] order — the least
+      fixpoint of the φ-aware equations over the blocks reachable from
+      the entry.  Unreachable blocks keep the worklist's convention: a
+      block the entry cannot reach has an empty [live_in] (whatever it
+      uses), a [live_out] holding only the φ arguments it supplies to
+      its successors, and receives nothing from the [live_in] of a
+      successor. *)
+
+  val capacity : Iloc.Cfg.t -> int
+  (** One more than the largest packed id of any register in the
+      routine, φ operands included: the width of every packed-id-keyed
+      array over it.  One sweep per spill round serves liveness, spill
+      costs and spill selection. *)
+
+  val compute : cap:int -> Iloc.Cfg.t -> t
+  (** [cap] must be at least [capacity cfg]. *)
+
+  val max_live : cap:int -> Iloc.Cfg.t -> t -> int array * int array
+  (** [max_live ~cap cfg t] — per-block MaxLive of the integer resp.
+      float class from [t = compute ~cap cfg]: the peak number of
+      simultaneously live registers at any point of the block,
+      including the entry point where live-in values and every φ
+      destination coexist, and the block-end point where successor
+      φ-args are still live.  On SSA form this is the exact spill
+      criterion of "Spill Everywhere under SSA": the chordal
+      interference graph is colorable with [max MaxLive] colors per
+      class. *)
+end
 
 (** Boundary liveness compressed to the upward-exposed universe [U].
 

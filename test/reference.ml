@@ -440,3 +440,316 @@ module Renumber = struct
       n_live_ranges;
     }
 end
+
+(* The SSA pipeline's dense pressure substrate as it stood before
+   per-register path exploration ([Dataflow.Liveness.Ssa]) and the
+   sparse-set spill sweep ([Remat.Ssa_alloc.select]) replaced it:
+   four [|blocks| x |registers|] bitset families solved by the shared
+   postorder worklist, MaxLive from those rows, and the spill selection
+   that rebuilt a [Reg.Set] at every program point.  The oracles of
+   test_ssa_pipeline's liveness, MaxLive and selection A/B properties. *)
+module Ssa_dense = struct
+  module Cfg = Iloc.Cfg
+  module Block = Iloc.Block
+  module Phi = Iloc.Phi
+  module Bitset = Dataflow.Bitset
+  module Reg_index = Dataflow.Reg_index
+  module Worklist = Dataflow.Worklist
+  module Order = Dataflow.Order
+  module Liveness = Dataflow.Liveness
+
+  type t = Liveness.t = {
+    regs : Reg_index.t;
+    live_in : Bitset.t array;
+    live_out : Bitset.t array;
+    ue : Bitset.t array;
+    kill : Bitset.t array;
+  }
+
+  let solve ~nb ~nr ~po ~succs_iter ~preds_iter ~live_in ~live_out ~ue ~kill =
+    let pos = Array.make nb (-1) in
+    Array.iteri (fun i b -> pos.(b) <- i) po;
+    let queued = Array.make nb false in
+    let q = Worklist.Buckets.create ~keys:(max nb 1) in
+    Array.iteri
+      (fun i b ->
+        Worklist.Buckets.push q ~key:i b;
+        queued.(b) <- true)
+      po;
+    let tmp = Bitset.create nr in
+    let continue = ref true in
+    while !continue do
+      match Worklist.Buckets.pop_min q with
+      | None -> continue := false
+      | Some b ->
+          queued.(b) <- false;
+          succs_iter b (fun s ->
+              ignore (Bitset.union_into ~dst:live_out.(b) live_in.(s)));
+          Bitset.clear tmp;
+          ignore (Bitset.union_into ~dst:tmp live_out.(b));
+          ignore (Bitset.diff_into ~dst:tmp kill.(b));
+          ignore (Bitset.union_into ~dst:tmp ue.(b));
+          if Bitset.union_into ~dst:live_in.(b) tmp then
+            preds_iter b (fun p ->
+                if pos.(p) >= 0 && not queued.(p) then begin
+                  Worklist.Buckets.push q ~key:pos.(p) p;
+                  queued.(p) <- true
+                end)
+    done
+
+  (* φ-aware liveness over an SSA-form routine, for the decoupled
+     spill-then-color pipeline.  The equations treat a φ-node's arguments
+     as used at the end of the matching predecessor and its destination as
+     defined at the block's entry (Bouchez–Darte–Rastello):
+
+       kill(b)     = instruction defs of b ∪ φ destinations of b
+       ue(b)       = upward-exposed instruction uses of b (φ args excluded)
+       live_out(b) = ∪_{s ∈ succ(b)} (live_in(s) ∪ φ-args on edge b→s)
+       live_in(b)  = ue(b) ∪ (live_out(b) \ kill(b))
+
+     The edge-specific φ-arg term is constant, so it is folded into the
+     initial [live_out] seed and the shared worklist [solve] — which only
+     ever grows [live_out] by successors' [live_in] — computes the rest. *)
+  let compute_ssa ?order (cfg : Iloc.Cfg.t) =
+    let regs = Reg_index.of_cfg cfg in
+    let nr = Reg_index.count regs in
+    let nb = Iloc.Cfg.n_blocks cfg in
+    let ue = Array.init nb (fun _ -> Bitset.create nr) in
+    let kill = Array.init nb (fun _ -> Bitset.create nr) in
+    let live_in = Array.init nb (fun _ -> Bitset.create nr) in
+    let live_out = Array.init nb (fun _ -> Bitset.create nr) in
+    Iloc.Cfg.iter_blocks
+      (fun b ->
+        let ue_b = ue.(b.Iloc.Block.id) and kill_b = kill.(b.Iloc.Block.id) in
+        List.iter
+          (fun (p : Iloc.Phi.t) ->
+            Bitset.unsafe_add kill_b (Reg_index.index regs p.Iloc.Phi.dst);
+            List.iter
+              (fun (pred, arg) ->
+                Bitset.unsafe_add live_out.(pred) (Reg_index.index regs arg))
+              p.Iloc.Phi.args)
+          b.Iloc.Block.phis;
+        Iloc.Block.iter_instrs
+          (fun i ->
+            List.iter
+              (fun u ->
+                let ui = Reg_index.index regs u in
+                if not (Bitset.unsafe_mem kill_b ui) then Bitset.unsafe_add ue_b ui)
+              (Iloc.Instr.uses i);
+            List.iter
+              (fun d -> Bitset.unsafe_add kill_b (Reg_index.index regs d))
+              (Iloc.Instr.defs i))
+          b)
+      cfg;
+    let po = match order with Some o -> o | None -> Order.postorder cfg in
+    solve ~nb ~nr ~po
+      ~succs_iter:(fun b f -> List.iter f (Iloc.Cfg.succs cfg b))
+      ~preds_iter:(fun b f -> List.iter f (Iloc.Cfg.preds cfg b))
+      ~live_in ~live_out ~ue ~kill;
+    { regs; live_in; live_out; ue; kill }
+
+  (* Pointwise register pressure of an SSA routine, per block and class,
+     from the boundary rows of {!compute_ssa}: one backward walk per block
+     from [live_out] (which includes φ-args of successor edges), noting
+     the peak before/after every instruction, plus the block-entry point
+     where live-in values and all φ destinations are live at once (the
+     entry parallel copy has written every destination before any body
+     instruction runs). *)
+  let max_live_ssa (cfg : Iloc.Cfg.t) (t : t) =
+    let nb = Iloc.Cfg.n_blocks cfg in
+    let mi = Array.make nb 0 and mf = Array.make nb 0 in
+    let nr = Reg_index.count t.regs in
+    let is_float = Array.make nr false in
+    for i = 0 to nr - 1 do
+      is_float.(i) <- Iloc.Reg.is_float (Reg_index.reg t.regs i)
+    done;
+    Iloc.Cfg.iter_blocks
+      (fun b ->
+        let id = b.Iloc.Block.id in
+        let live = Bitset.create nr in
+        ignore (Bitset.union_into ~dst:live t.live_out.(id));
+        let ci = ref 0 and cf = ref 0 in
+        Bitset.iter (fun i -> if is_float.(i) then incr cf else incr ci) live;
+        let note () =
+          if !ci > mi.(id) then mi.(id) <- !ci;
+          if !cf > mf.(id) then mf.(id) <- !cf
+        in
+        note ();
+        let add i =
+          if not (Bitset.mem live i) then begin
+            Bitset.add live i;
+            if is_float.(i) then incr cf else incr ci
+          end
+        in
+        let remove i =
+          if Bitset.mem live i then begin
+            Bitset.remove live i;
+            if is_float.(i) then decr cf else decr ci
+          end
+        in
+        let instr (i : Iloc.Instr.t) =
+          (* At the definition point the destination coexists with
+             everything live after the instruction (a dead definition
+             still occupies a register there). *)
+          List.iter (fun d -> add (Reg_index.index t.regs d)) (Iloc.Instr.defs i);
+          note ();
+          List.iter
+            (fun d -> remove (Reg_index.index t.regs d))
+            (Iloc.Instr.defs i);
+          List.iter (fun u -> add (Reg_index.index t.regs u)) (Iloc.Instr.uses i);
+          note ()
+        in
+        instr b.Iloc.Block.term;
+        List.iter instr (List.rev b.Iloc.Block.body);
+        (* Block entry, after the φ parallel copy: live-in ∪ φ dests. *)
+        List.iter
+          (fun (p : Iloc.Phi.t) ->
+            add (Reg_index.index t.regs p.Iloc.Phi.dst))
+          b.Iloc.Block.phis;
+        note ())
+      cfg;
+    (mi, mf)
+
+  (* One sweep over every program point, accumulating the set of values to
+     spill this round.  A point is described by [counted] — the registers
+     occupying a color there, [sticky] when spilling cannot relieve the
+     point (instruction operands keep a temporary alive at their site) —
+     and [candidates], the registers whose spilling frees one color here.
+     At a block's end point the candidates also include successor
+     φ-destinations: spilling one turns its φ into a memory φ, whose edge
+     store reaches the slot through a transient pair instead of holding
+     the argument's register across the edge. *)
+  let select (cfg : Cfg.t) (live : Liveness.t) ~k ~cost ~spillable =
+    let chosen = ref Reg.Set.empty in
+    let stuck = ref None in
+    let classes = [ Reg.Int; Reg.Float ] in
+    let reduce ~where ~counted ~candidates =
+      List.iter
+        (fun cls ->
+          let n =
+            List.fold_left
+              (fun n (r, sticky) ->
+                if
+                  Reg.cls_equal (Reg.cls r) cls
+                  && (sticky || not (Reg.Set.mem r !chosen))
+                then n + 1
+                else n)
+              0 counted
+          in
+          let kc = k cls in
+          if n > kc then begin
+            let cands =
+              List.sort_uniq Reg.compare candidates
+              |> List.filter (fun r ->
+                     Reg.cls_equal (Reg.cls r) cls
+                     && spillable r
+                     && not (Reg.Set.mem r !chosen))
+              |> List.map (fun r -> (cost r, r))
+              |> List.sort (fun (c1, r1) (c2, r2) ->
+                     match Float.compare c1 c2 with
+                     | 0 -> Reg.compare r1 r2
+                     | c -> c)
+            in
+            let need = ref (n - kc) in
+            List.iter
+              (fun (_, r) ->
+                if !need > 0 then begin
+                  chosen := Reg.Set.add r !chosen;
+                  decr need
+                end)
+              cands;
+            if !need > 0 && !stuck = None then stuck := Some where
+          end)
+        classes
+    in
+    Cfg.iter_blocks
+      (fun b ->
+        let bid = b.Block.id in
+        let where = Printf.sprintf "block %s" b.Block.label in
+        (* Entry point: live-in values and every φ destination coexist
+           just after the entry parallel copy. *)
+        let live_in_regs = Liveness.live_in live bid in
+        let dests = List.map (fun (p : Phi.t) -> p.Phi.dst) b.Block.phis in
+        reduce ~where
+          ~counted:(List.map (fun r -> (r, false)) (live_in_regs @ dests))
+          ~candidates:(live_in_regs @ dests);
+        (* Instruction points, from per-instruction live-after sets. *)
+        let live_out_set =
+          List.fold_left
+            (fun s r -> Reg.Set.add r s)
+            Reg.Set.empty (Liveness.live_out live bid)
+        in
+        let instrs = Array.of_list (b.Block.body @ [ b.Block.term ]) in
+        let n = Array.length instrs in
+        let after = Array.make n Reg.Set.empty in
+        let cur = ref live_out_set in
+        for idx = n - 1 downto 0 do
+          after.(idx) <- !cur;
+          let i = instrs.(idx) in
+          let s =
+            List.fold_left (fun s d -> Reg.Set.remove d s) !cur (Instr.defs i)
+          in
+          cur := List.fold_left (fun s u -> Reg.Set.add u s) s (Instr.uses i)
+        done;
+        for idx = 0 to n - 1 do
+          let i = instrs.(idx) in
+          let defs = Instr.defs i in
+          let uses = List.sort_uniq Reg.compare (Instr.uses i) in
+          let after_minus_defs =
+            List.fold_left (fun s d -> Reg.Set.remove d s) after.(idx) defs
+          in
+          let through = Reg.Set.elements after_minus_defs in
+          let through_nonuse =
+            List.filter (fun r -> not (List.exists (Reg.equal r) uses)) through
+          in
+          reduce ~where
+            ~counted:
+              (List.map (fun u -> (u, true)) uses
+              @ List.map (fun r -> (r, false)) through_nonuse)
+            ~candidates:through_nonuse;
+          if defs <> [] then
+            reduce ~where
+              ~counted:
+                (List.map (fun d -> (d, true)) defs
+                @ List.map (fun r -> (r, false)) through)
+              ~candidates:through
+        done;
+        (* End point: successor φ-arguments are live here; relieving one
+           means spilling the φ's destination, not the argument. *)
+        let term_uses = List.sort_uniq Reg.compare (Instr.uses b.Block.term) in
+        let succ_phis =
+          match Cfg.succs cfg bid with
+          | [ s ] -> (Cfg.block cfg s).Block.phis
+          | _ -> []
+        in
+        let arg_of_kept v =
+          List.exists
+            (fun (p : Phi.t) ->
+              (not (Reg.Set.mem p.Phi.dst !chosen))
+              && Reg.equal (Phi.arg_for p ~pred:bid) v)
+            succ_phis
+        in
+        let out = Liveness.live_out live bid in
+        let counted =
+          List.map
+            (fun v ->
+              (v, List.exists (Reg.equal v) term_uses || arg_of_kept v))
+            out
+        in
+        let value_cands =
+          List.filter
+            (fun v ->
+              (not (List.exists (Reg.equal v) term_uses)) && not (arg_of_kept v))
+            out
+        in
+        let dest_cands =
+          List.filter_map
+            (fun (p : Phi.t) ->
+              if Reg.Set.mem p.Phi.dst !chosen then None
+              else Some p.Phi.dst)
+            succ_phis
+        in
+        reduce ~where ~counted ~candidates:(value_cands @ dest_cands))
+      cfg;
+    (!chosen, !stuck)
+end

@@ -99,6 +99,158 @@ let per_config_props =
         Testutil.Gen_prog.arbitrary_cfg (config_property c))
     ssa_configs
 
+(* --- A/B oracles for the pressure substrate --- *)
+
+module Liveness = Dataflow.Liveness
+module Dense = Reference.Ssa_dense
+
+let ab_machines =
+  [
+    Remat.Machine.standard;
+    Fuzz.Oracle.tight;
+    Remat.Machine.make ~name:"6+4" ~k_int:6 ~k_float:4;
+  ]
+
+(* The SSA form [Ssa_alloc.run] spills: critical edges split, pruned
+   SSA, remat tags of the [ssa] mode; plus the loop weights its costs
+   use. *)
+let ssa_form cfg =
+  let cfg = Cfg.split_critical_edges cfg in
+  let loops = Dataflow.Loops.compute cfg (Dataflow.Dominance.compute cfg) in
+  let ssa = Ssa.Construct.run cfg in
+  let vals = Ssa.Values.analyze ssa in
+  let tags = Reg.Tbl.create 64 in
+  Array.iteri
+    (fun i t ->
+      match t with
+      | Remat.Tag.Inst _ -> Reg.Tbl.replace tags (Ssa.Values.reg vals i) t
+      | Remat.Tag.Top | Remat.Tag.Bottom -> ())
+    (Remat.Remat_analysis.run ssa vals);
+  (ssa, loops, tags)
+
+let regs_to_string rs = String.concat " " (List.map Reg.to_string rs)
+
+(* Per-block rows and MaxLive of the path-exploration liveness equal
+   the dense worklist's. *)
+let rows_match ~what cfg =
+  let cap = Liveness.Ssa.capacity cfg in
+  let rows = Liveness.Ssa.compute ~cap cfg in
+  let dense = Dense.compute_ssa cfg in
+  for b = 0 to Cfg.n_blocks cfg - 1 do
+    let row name got want =
+      if not (List.equal Reg.equal got want) then
+        QCheck.Test.fail_reportf "%s: %s of block %d is [%s], dense [%s]" what
+          name b (regs_to_string got) (regs_to_string want)
+    in
+    row "live_in" rows.Liveness.Ssa.live_in.(b) (Liveness.live_in dense b);
+    row "live_out" rows.Liveness.Ssa.live_out.(b) (Liveness.live_out dense b)
+  done;
+  let mi, mf = Liveness.Ssa.max_live ~cap cfg rows in
+  let di, df = Dense.max_live_ssa cfg dense in
+  if mi <> di || mf <> df then
+    QCheck.Test.fail_reportf "%s: MaxLive differs from the dense rows'" what;
+  (cap, rows, dense)
+
+(* One round of the pipeline's spill decision, checked against the
+   dense oracle: rows, MaxLive, and [(chosen, stuck)] under the real
+   spill costs and under coarse ones that tie often.  Returns the
+   chosen set. *)
+let round_matches ~what ~(machine : Remat.Machine.t) ~loops ~tags ~infinite
+    cfg =
+  let cap, rows, dense = rows_match ~what cfg in
+  let k = Remat.Machine.k_for machine in
+  let spillable r = not (Reg.Tbl.mem infinite r) in
+  let tag_of r =
+    Option.value (Reg.Tbl.find_opt tags r) ~default:Remat.Tag.Bottom
+  in
+  let real = Remat.Ssa_alloc.cost_table ~cap cfg loops tag_of in
+  let coarse = Array.init cap (fun p -> float (p * 7919 mod 3)) in
+  let pick cost =
+    let got = Remat.Ssa_alloc.select cfg rows ~cap ~k ~cost ~spillable in
+    let want =
+      Dense.select cfg dense ~k ~cost:(fun r -> cost.(Reg.hash r)) ~spillable
+    in
+    if not (Reg.Set.equal (fst got) (fst want) && snd got = snd want) then
+      QCheck.Test.fail_reportf
+        "%s: selection {%s} stuck %s, dense {%s} stuck %s" what
+        (regs_to_string (Reg.Set.elements (fst got)))
+        (Option.value (snd got) ~default:"-")
+        (regs_to_string (Reg.Set.elements (fst want)))
+        (Option.value (snd want) ~default:"-");
+    fst got
+  in
+  ignore (pick coarse);
+  pick real
+
+(* Round 1 on the fresh SSA form, then round 2 after one
+   [rewrite_spills] of round 1's choice. *)
+let substrate_property machine cfg =
+  let ssa, loops, tags = ssa_form cfg in
+  let infinite = Reg.Tbl.create 16 in
+  let chosen =
+    round_matches ~what:"round 1" ~machine ~loops ~tags ~infinite ssa
+  in
+  Remat.Ssa_alloc.rewrite_spills ssa ~chosen ~tags ~infinite
+    ~slots:(Reg.Tbl.create 16) ~slot_counter:(ref 0);
+  ignore (round_matches ~what:"round 2" ~machine ~loops ~tags ~infinite ssa);
+  true
+
+let high_pressure_cfg =
+  QCheck.make
+    (fun st ->
+      Fuzz.Gen.generate ~config:Fuzz.Gen.high_pressure
+        (QCheck.Gen.int_bound 0x3FFFFFFF st))
+    ~print:Iloc.Printer.routine_to_string
+
+let substrate_props =
+  List.concat_map
+    (fun (m : Remat.Machine.t) ->
+      [
+        QCheck.Test.make ~count:60
+          ~name:
+            (Printf.sprintf
+               "SSA rows, MaxLive and selection = dense oracle (default, %s)"
+               m.Remat.Machine.name)
+          Testutil.Gen_prog.arbitrary_cfg (substrate_property m);
+        QCheck.Test.make ~count:25
+          ~name:
+            (Printf.sprintf
+               "SSA rows, MaxLive and selection = dense oracle (high \
+                pressure, %s)"
+               m.Remat.Machine.name)
+          high_pressure_cfg (substrate_property m);
+      ])
+    ab_machines
+
+(* An unreachable block with an upward-exposed use of [r5] and a
+   φ-argument edge into the reachable join.  The worklist never visits
+   it: its live_in stays empty, its live_out holds only its φ seeds, and
+   it receives nothing from the join's live_in.  The join's second φ is
+   dead, so only its entry point reaches the join's MaxLive of 3. *)
+let unreachable_routine () =
+  let r n = Reg.make n Reg.Int in
+  let entry =
+    Iloc.Block.make ~id:0 ~label:"entry"
+      ~body:[ Iloc.Instr.ldi (r 1) 1; Iloc.Instr.ldi (r 5) 5 ]
+      ~term:(Iloc.Instr.jmp "join") ()
+  in
+  let dead =
+    Iloc.Block.make ~id:1 ~label:"dead"
+      ~body:[ Iloc.Instr.add (r 2) (r 5) (r 5) ]
+      ~term:(Iloc.Instr.jmp "join") ()
+  in
+  let join =
+    Iloc.Block.make ~id:2 ~label:"join"
+      ~phis:
+        [
+          Iloc.Phi.make (r 3) [ (0, r 1); (1, r 2) ];
+          Iloc.Phi.make (r 8) [ (0, r 5); (1, r 2) ];
+        ]
+      ~body:[ Iloc.Instr.add (r 4) (r 3) (r 5); Iloc.Instr.print_ (r 4) ]
+      ~term:(Iloc.Instr.ret (Some (r 4))) ()
+  in
+  Cfg.make ~name:"unreachable_phi_pred" [ entry; dead; join ]
+
 (* --- directed pipeline checks --- *)
 
 let directed =
@@ -140,6 +292,19 @@ let directed =
           ssa_run ~mode:Remat.Mode.Ssa_no_remat ~machine:Fuzz.Oracle.tight cfg
         in
         check Alcotest.int "remat spills" 0 r.Remat.Ssa_alloc.spilled_remat);
+    tc "unreachable blocks keep the worklist's rows" (fun () ->
+        let cfg = unreachable_routine () in
+        let cap, rows, _ = rows_match ~what:"unreachable" cfg in
+        let r n = Reg.make n Reg.Int in
+        let row = Alcotest.(list string) in
+        let names rs = List.map Reg.to_string rs in
+        check row "dead live_in" [] (names rows.Liveness.Ssa.live_in.(1));
+        check row "dead live_out" (names [ r 2 ])
+          (names rows.Liveness.Ssa.live_out.(1));
+        check row "entry live_out" (names [ r 1; r 5 ])
+          (names rows.Liveness.Ssa.live_out.(0));
+        let mi, _ = Liveness.Ssa.max_live ~cap cfg rows in
+        check Alcotest.int "join MaxLive" 3 mi.(2));
     tc "incremental allocation declines SSA modes" (fun () ->
         let cfg = Testutil.counted_loop () in
         let snap =
@@ -154,4 +319,5 @@ let () =
     [
       ("directed", directed);
       ("properties", List.map QCheck_alcotest.to_alcotest per_config_props);
+      ("substrate", List.map QCheck_alcotest.to_alcotest substrate_props);
     ]
