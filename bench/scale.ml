@@ -120,11 +120,10 @@ type row = {
 }
 
 (* At and above [big_threshold] sizes run as this row instead: the flat
-   substrate (arena encode, dense liveness where it fits, boundary
-   liveness), with the flat and structured forms byte-compared through
-   the printer, plus one instrumented end-to-end flat allocation.  [u]
-   is |U|, the upward-exposed universe boundary liveness compresses its
-   rows to. *)
+   substrate (arena encode, boundary liveness), with the flat and
+   structured forms byte-compared through the printer, plus one
+   instrumented end-to-end flat allocation.  [u] is |U|, the
+   upward-exposed universe boundary liveness compresses its rows to. *)
 type big_row = {
   btarget : int;
   binstrs : int;
@@ -197,7 +196,21 @@ let alloc_stats (res : Remat.Allocator.result) =
       (p, s, w, mj))
     !order
 
-(* The batched graph build's volume counters — deterministic per input,
+(* The round-1 interference graph — the allocator's first build, before
+   coalescing touches it — against {!Reference.Graph}, the definition
+   read off dense liveness rows: same edges, degrees, significant-
+   neighbor counts and adjacency order.  Run outside every timed
+   phase. *)
+let check_round1_graph input =
+  let ctx = fresh_ctx input in
+  let g = Remat.Context.graph ctx in
+  check_equal "round-1 graph vs Reference.Graph"
+    (String.equal
+       (Reference.Graph.of_graph g)
+       (Reference.Graph.fingerprint ~k:ctx.Remat.Context.k
+          (Remat.Context.flat ctx)))
+
+(* The graph build's volume counters — deterministic per input,
    so the --check gate can treat them like heap words. *)
 let build_counters (res : Remat.Allocator.result) =
   List.map
@@ -273,15 +286,7 @@ let measure ~repeats ~target seed =
   (* End-to-end allocation, instrumented: per-phase seconds and heap
      words summed over spill rounds. *)
   let res = Remat.Allocator.run ~mode ~machine (cfg ()) in
-  (* Small sizes default to the incremental builder; forcing the batched
-     pipeline on the same input must not move a byte of the output. *)
-  let res_batched =
-    Remat.Allocator.allocate ~mode ~machine ~batch_build:true (cfg ())
-  in
-  check_equal "batched vs incremental allocations"
-    (String.equal
-       (Cfg.to_string res.Remat.Allocator.cfg)
-       (Cfg.to_string res_batched.Remat.Allocator.cfg));
+  check_round1_graph (cfg ());
   let verify_s = prove (cfg ()) res in
   let ssa = ssa_alloc (cfg ()) in
   let alloc = alloc_stats res in
@@ -295,15 +300,14 @@ let measure ~repeats ~target seed =
     new_t =
       { simplify = new_simplify; select = new_select; coalesce = new_coalesce };
     alloc;
-    counters = build_counters res_batched;
+    counters = build_counters res;
     verify_s;
     ssa;
   }
 
-(* Dense liveness keeps |blocks| x |regs|-bit rows per family; at 100k
-   instructions that is a few hundred MB and worth timing, at 1M it
-   would be gigabytes, so the dense sweep stops here and only boundary
-   liveness (rows |U| bits wide) runs above. *)
+(* The graph oracle reads dense |blocks| x |regs|-bit liveness rows; at
+   100k instructions that is a few hundred MB, at 1M it would be
+   gigabytes, so the oracle check stops here. *)
 let dense_cutoff = 200_000
 
 let measure_big ~repeats ~target seed =
@@ -319,13 +323,6 @@ let measure_big ~repeats ~target seed =
     time_min ~repeats (fun () -> ignore (Iloc.Flat.of_routine cfg))
   in
   let phases = ref [ ("encode", encode) ] in
-  if target <= dense_cutoff then begin
-    let live =
-      time_min ~repeats (fun () ->
-          ignore (Dataflow.Liveness.compute_flat fl))
-    in
-    phases := ("live", live) :: !phases
-  end;
   let boundary =
     time_min ~repeats (fun () ->
         ignore (Dataflow.Liveness.Boundary.compute fl))
@@ -334,28 +331,17 @@ let measure_big ~repeats ~target seed =
   let bl = Dataflow.Liveness.Boundary.compute fl in
   (* End-to-end flat allocation, instrumented, once (a full run at these
      sizes is minutes of work; phase words don't vary across repeats).
-     No structured counterpart runs here — dense rows and the structured
-     renumber were never meant for this tier; output identity is proven
-     by the small tier's byte-compare and the A/B property tests. *)
+     No structured counterpart runs here — the Reference phases and the
+     structured renumber were never meant for this tier. *)
   let res = Remat.Allocator.run ~mode ~machine cfg in
   let bverify_s = prove cfg res in
   let bssa = ssa_alloc cfg in
-  (* Up to the dense cutoff, re-run with the batched builder forced off
-     and byte-compare: the CI smoke size (100k) then proves batched ≡
-     incremental at a five-digit node count on every bench run.  Above
-     the cutoff the incremental rebuild is the minutes-long baseline
-     this PR retired, so identity at the top size rests on the one-off
-     A/B recorded in DESIGN.md plus the property tests. *)
-  if target <= dense_cutoff then begin
-    let res_inc =
-      Remat.Allocator.allocate ~mode ~machine ~batch_build:false
-        (Gen.generate ~config:(mk ~stmts) seed)
-    in
-    check_equal "batched vs incremental allocations"
-      (String.equal
-         (Cfg.to_string res.Remat.Allocator.cfg)
-         (Cfg.to_string res_inc.Remat.Allocator.cfg))
-  end;
+  (* Up to the dense cutoff the round-1 graph meets the oracle too: at
+     the CI smoke size (100k) its node count is past
+     [Interference.dense_node_limit], so this checks the [Csr] edge set
+     on every bench run. *)
+  if target <= dense_cutoff then
+    check_round1_graph (Gen.generate ~config:(mk ~stmts) seed);
   {
     btarget = target;
     binstrs = instrs;
@@ -429,7 +415,7 @@ let pp_big ppf rows =
   Format.fprintf ppf
     "=== Flat substrate at scale ===@.\
      (arena encode + liveness on the packed form; flat and structured@.\
-    \ printouts byte-compared; dense rows skipped above %d instrs)@.@."
+    \ printouts byte-compared; graph oracle skipped above %d instrs)@.@."
     dense_cutoff;
   Format.fprintf ppf "%8s %9s %7s %7s %6s | %s@." "target" "instrs" "blocks"
     "regs" "|U|" "phase seconds (best of repeats)";

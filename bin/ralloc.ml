@@ -402,7 +402,7 @@ let dot_cmd =
           in
           let fl = rn.Remat.Renumber.fl in
           let g =
-            Remat.Interference.build_flat_boundary
+            Remat.Interference.build
               (Dataflow.Reg_index.of_flat fl) fl
               (Dataflow.Liveness.Boundary.compute fl)
           in

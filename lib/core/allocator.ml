@@ -215,9 +215,8 @@ let verify_output ~input ~output ~(machine : Machine.t) =
 let allocate_ssa ~verify ~mode ~machine ~max_rounds (input : Cfg.t) =
   validate_input input;
   let stats = Stats.create () in
-  let cfg0 = Cfg.split_critical_edges input in
   let r =
-    try Ssa_alloc.run ~mode ~machine ~max_rounds ~stats cfg0
+    try Ssa_alloc.run ~mode ~machine ~max_rounds ~stats input
     with Spill_code.Pressure_too_high msg -> raise (Allocation_error msg)
   in
   let cfg = r.Ssa_alloc.cfg in
@@ -244,15 +243,16 @@ let allocate_ssa ~verify ~mode ~machine ~max_rounds (input : Cfg.t) =
    why a snapshot may hand its [loops] back in.  The renamed arena
    equals an encode of the bridged routine, so it primes the context's
    cache and saves one re-encoding. *)
-let front ?batch_build ?loops ~stats ~mode ~machine (input : Cfg.t) =
+let front ?loops ~stats ~mode ~machine (input : Cfg.t) =
   validate_input input;
-  let cfg0 = Cfg.split_critical_edges input in
-  let loops =
-    match loops with
-    | Some loops -> loops
-    | None ->
-        Stats.time stats ~round:0 Stats.Cfa (fun () ->
-            Dataflow.Loops.compute cfg0 (Dataflow.Dominance.compute cfg0))
+  let cfg0, loops =
+    Stats.time stats ~round:0 Stats.Cfa (fun () ->
+        let cfg0 = Cfg.split_critical_edges input in
+        ( cfg0,
+          match loops with
+          | Some loops -> loops
+          | None ->
+              Dataflow.Loops.compute cfg0 (Dataflow.Dominance.compute cfg0) ))
   in
   let rn, cfg =
     Stats.time stats ~round:0 Stats.Renum (fun () ->
@@ -260,7 +260,7 @@ let front ?batch_build ?loops ~stats ~mode ~machine (input : Cfg.t) =
         (rn, Iloc.Flat.to_routine rn.Renumber.fl))
   in
   let ctx =
-    Context.create ?batch_build ~mode ~machine ~loops ~tags:rn.Renumber.f_tags
+    Context.create ~mode ~machine ~loops ~tags:rn.Renumber.f_tags
       ~split_pairs:rn.Renumber.f_split_pairs ~stats cfg
   in
   Context.set_flat ctx rn.Renumber.fl;
@@ -290,12 +290,12 @@ let color ~verify ~max_rounds ~input (ctx : Context.t)
   }
 
 let allocate ?(verify = false) ?(mode = Mode.Briggs_remat)
-    ?(machine = Machine.standard) ?(max_rounds = 64) ?batch_build
+    ?(machine = Machine.standard) ?(max_rounds = 64)
     (input : Cfg.t) =
   if Mode.is_ssa mode then allocate_ssa ~verify ~mode ~machine ~max_rounds input
   else begin
     let ctx, rn =
-      front ?batch_build ~stats:(Stats.create ()) ~mode ~machine input
+      front ~stats:(Stats.create ()) ~mode ~machine input
     in
     (* §6 loop-boundary splitting schemes, layered after renumber.  They
        invalidate the whole context when they rewrite the routine, so a

@@ -55,7 +55,6 @@ val rewrite_physical :
     color — the deletions biased coloring works for). *)
 
 val front :
-  ?batch_build:bool ->
   ?loops:Dataflow.Loops.t ->
   stats:Stats.t ->
   mode:Mode.t ->
@@ -64,8 +63,9 @@ val front :
   Context.t * Renumber.flat_result
 (** The allocation front half, shared by {!allocate}, {!snapshot} and
     {!allocate_incremental}: validate the input (raising
-    {!Allocation_error}), split critical edges, compute loop structure
-    (timed as [Cfa]; skipped when [loops] is given), renumber on the
+    {!Allocation_error}), split critical edges and compute loop
+    structure (timed together as [Cfa]; the loops are reused when
+    [loops] is given), renumber on the
     arena with {!Renumber.run_flat} and bridge the result (timed as
     [Renum]), then create the context over the bridged routine with the
     renamed arena primed as its {!Context.flat} cache.  Exposed so
@@ -76,14 +76,10 @@ val allocate :
   ?mode:Mode.t ->
   ?machine:Machine.t ->
   ?max_rounds:int ->
-  ?batch_build:bool ->
   Iloc.Cfg.t ->
   result
 (** [mode] defaults to {!Mode.Briggs_remat}, [machine] to
-    {!Machine.standard}, [max_rounds] to 64.  [batch_build] forces the
-    graph construction strategy (batched vs. incremental — see
-    {!Interference.build_flat_boundary}); unset, the node count decides.
-    Output is byte-identical either way.  The input routine must pass
+    {!Machine.standard}, [max_rounds] to 64.  The input routine must pass
     {!Iloc.Validate.routine}; it is not mutated (allocation works on a
     critical-edge-split copy).  Raises {!Allocation_error} when the input
     is invalid or the round limit is hit, and

@@ -9,7 +9,6 @@ type t = {
   infinite : unit Reg.Tbl.t;
   loops : Dataflow.Loops.t;
   stats : Stats.t;
-  batch_build : bool option;  (* force the build strategy; None = auto *)
   mutable round : int;
   mutable split_pairs : (Reg.t * Reg.t) list;
   mutable coalesced : int;
@@ -30,7 +29,7 @@ type t = {
   mutable boundary_scratch : Dataflow.Liveness.Boundary.scratch option;
 }
 
-let create ?batch_build ~mode ~machine ~loops ~tags ~split_pairs ~stats cfg =
+let create ~mode ~machine ~loops ~tags ~split_pairs ~stats cfg =
   {
     cfg;
     mode;
@@ -40,7 +39,6 @@ let create ?batch_build ~mode ~machine ~loops ~tags ~split_pairs ~stats cfg =
     infinite = Reg.Tbl.create 16;
     loops;
     stats;
-    batch_build;
     round = 0;
     split_pairs;
     coalesced = 0;
@@ -137,15 +135,15 @@ let graph t =
       in
       let g =
         time t Stats.Build (fun () ->
-            Interference.build_flat_boundary ?matrix:t.matrix_scratch ~pairs
-              ?batch:t.batch_build ~on_pairs ~k:t.k regs fl bl)
+            Interference.build ?matrix:t.matrix_scratch ~pairs ~on_pairs
+              ~k:t.k regs fl bl)
       in
       count t Stats.Full_builds 1;
       t.graph <- Some g;
       (* Keep the (possibly freshly grown) matrix for the next round's
          rebuild; the node count only grows as spill code adds
          temporaries, so the newest matrix is always the largest.  A
-         sparse graph has no matrix to harvest — keep the old scratch. *)
+         [Csr] graph has no matrix to harvest — keep the old scratch. *)
       (match Interference.scratch_matrix g with
       | Some m -> t.matrix_scratch <- Some m
       | None -> ());

@@ -9,7 +9,7 @@
 
     The caches carry the incremental-update invariant of the
     build–coalesce loop: {!graph} performs a from-scratch
-    {!Interference.build_flat_boundary} only when no graph is cached, and
+    {!Interference.build} only when no graph is cached, and
     coalescing keeps the cached graph current in place
     ({!Interference.merge}), so a spill round triggers at most one full
     build.  Phases that mutate the
@@ -36,9 +36,6 @@ type t = {
       (** spill temporaries from earlier rounds (never re-spilled) *)
   loops : Dataflow.Loops.t;
   stats : Stats.t;
-  batch_build : bool option;
-      (** forces {!Interference.build_flat_boundary}'s [?batch] choice;
-          [None] (the default) lets the node count decide *)
   mutable round : int;
   mutable split_pairs : (Iloc.Reg.t * Iloc.Reg.t) list;
   mutable coalesced : int;  (** copies removed by coalescing, total *)
@@ -65,7 +62,6 @@ type t = {
 }
 
 val create :
-  ?batch_build:bool ->
   mode:Mode.t ->
   machine:Machine.t ->
   loops:Dataflow.Loops.t ->

@@ -7,7 +7,7 @@ module Reg_index = Dataflow.Reg_index
 module Reg = Iloc.Reg
 module Instr = Iloc.Instr
 
-(* The batched builder's frozen edge set: one sorted CSR adjacency
+(* The edge set of a graph above [dense_node_limit]: one sorted CSR adjacency
    (cols ascending within each row, both directions materialized) built
    in two passes from the deduplicated pair buffer.  Post-build
    mutation never reshapes the arrays — removal tombstones the two
@@ -24,7 +24,7 @@ type csr = {
   mutable overlay_adds : int;  (* total overlay insertions, for stats *)
 }
 
-type edges = Dense of Bitset.t | Sparse of Hash_set.t | Csr of csr
+type edges = Dense of Bitset.t | Csr of csr
 
 type t = {
   regs : Reg_index.t;
@@ -69,7 +69,6 @@ let csr_find c i j =
 let edge_mem t i j =
   match t.edges with
   | Dense m -> Bitset.unsafe_mem m (tri i j)
-  | Sparse h -> Hash_set.mem h (tri i j)
   | Csr c ->
       let p = csr_find c i j in
       if p >= 0 then not (Bitset.unsafe_mem c.dead p)
@@ -79,7 +78,6 @@ let edge_mem t i j =
 let edge_add t i j =
   match t.edges with
   | Dense m -> Bitset.unsafe_add m (tri i j)
-  | Sparse h -> Hash_set.add h (tri i j)
   | Csr c ->
       let p = csr_find c i j in
       if p >= 0 then begin
@@ -96,7 +94,6 @@ let edge_add t i j =
 let edge_remove t i j =
   match t.edges with
   | Dense m -> Bitset.unsafe_remove m (tri i j)
-  | Sparse h -> Hash_set.remove h (tri i j)
   | Csr c ->
       let p = csr_find c i j in
       if p >= 0 && not (Bitset.unsafe_mem c.dead p) then begin
@@ -106,10 +103,10 @@ let edge_remove t i j =
       else Hash_set.remove c.overlay (tri i j)
 
 let scratch_matrix t =
-  match t.edges with Dense m -> Some m | Sparse _ | Csr _ -> None
+  match t.edges with Dense m -> Some m | Csr _ -> None
 
 let overlay_edges t =
-  match t.edges with Csr c -> c.overlay_adds | Dense _ | Sparse _ -> 0
+  match t.edges with Csr c -> c.overlay_adds | Dense _ -> 0
 
 (* Deep copy for snapshot reuse: coalescing mutates the graph in place,
    so a cached build must be copied before each allocation that consumes
@@ -121,7 +118,6 @@ let copy t =
     edges =
       (match t.edges with
       | Dense m -> Dense (Bitset.copy m)
-      | Sparse h -> Sparse (Hash_set.copy h)
       | Csr c ->
           (* The frozen arrays are immutable after the build; only the
              mutation state is private to the copy. *)
@@ -256,136 +252,79 @@ let merge t ~keep ~drop =
 (* Above this node count the triangular matrix goes quadratic in memory
    (32768 nodes is a 64 MB matrix; renumbered million-instruction
    routines reach ~390k nodes, which would need ~9.5 GB) while the edge
-   count stays near-linear in code size, so larger graphs keep their
-   edges in an open-addressing set of triangular indices instead.  Both
-   representations answer membership identically, so graph construction
-   and coalescing are byte-for-byte unaffected by the switch. *)
+   count stays near-linear in code size, so larger graphs freeze their
+   edges as a [Csr].  Below it the matrix stays: the build's pairs go
+   straight into it, and coalescing's union edges each cost one bit
+   instead of an overlay insertion.  Both edge sets answer membership
+   identically and receive adjacency in the same order (see
+   [finish_batched]), so nothing downstream observes the switch. *)
 let dense_node_limit = 32768
 
-let make ?matrix ?k regs n =
-  let edges =
-    if n > dense_node_limit then
-      (* Size for the suite's ~16 average neighbors (8n edges) at 3/4
-         load; the table still grows if the graph is denser. *)
-      Sparse (Hash_set.create ~cap:(12 * n) ())
-    else
-      let bits = n * (n - 1) / 2 in
-      Dense
-        ((* Recycle the caller's scratch buffer (cleared) when it is big
-            enough; the previous round's graph must no longer be in
-            use. *)
-         match matrix with
-        | Some buf -> (
-            match Bitset.view buf bits with
-            | Some m -> m
-            | None -> Bitset.create bits)
+let thresholds ?k regs n =
+  match k with
+  | Some k -> Array.init n (fun i -> k (Reg.cls (Reg_index.reg regs i)))
+  | None -> Array.make n max_int
+
+let make_dense ?matrix ?k regs n =
+  let bits = n * (n - 1) / 2 in
+  let m =
+    (* Recycle the caller's scratch buffer (cleared) when it is big
+       enough; the previous round's graph must no longer be in use. *)
+    match matrix with
+    | Some buf -> (
+        match Bitset.view buf bits with
+        | Some m -> m
         | None -> Bitset.create bits)
-  in
-  let thresh =
-    match k with
-    | Some k -> Array.init n (fun i -> k (Reg.cls (Reg_index.reg regs i)))
-    | None -> Array.make n max_int
+    | None -> Bitset.create bits
   in
   {
     regs;
     n;
-    edges;
+    edges = Dense m;
     (* Pre-size for the typical degree so the build loop's pushes rarely
        grow: allocator graphs on the suite average ~16 neighbors. *)
     adj = Array.init n (fun _ -> Int_vec.create ~cap:16 ());
     degree = Array.make n 0;
     alive = Array.make n true;
     forward = Array.init n (fun i -> i);
-    thresh;
+    thresh = thresholds ?k regs n;
     sig_nb = Array.make n 0;
     n_edges = 0;
     n_alive = n;
   }
 
-let of_edges ?k n edges =
-  let regs =
-    Reg_index.of_regs (List.init n (fun i -> Reg.make i Reg.Int))
-  in
-  let t = make ?k regs n in
-  List.iter (fun (i, j) -> add_edge t i j) edges;
-  t
-
 (* -------------------------------------------------------------------
-   Batched construction (the sparse-regime build path).
+   Freezing a [Csr] from a pair buffer.
 
-   The incremental builders below pay two per-definition costs that go
-   quadratic at the million-instruction tier: an O(n/64) word scan to
-   mask the live set down to the defining class, and one edge-set
-   membership probe per candidate pair.  The batched builder removes
-   both.  Phase one sweeps the blocks exactly like the incremental
-   pass, but keeps live-now in a {!Hier_set} (iteration O(members),
-   not O(n/64)) and emits every candidate pair into a {!Pair_buf} with
-   no membership check at all.  Phase two sorts the buffer by packed
-   pair key, drops duplicate pairs keeping the first occurrence, and
-   materializes the frozen CSR plus exact degrees and significant-
-   neighbor counts; a final sort by emission sequence number replays
-   the unique pairs in chronological order so every adjacency vector
-   receives its neighbors in exactly the order the incremental
-   builder's [add_edge] would have pushed them.
+   Above [dense_node_limit] the build emits every candidate pair into a
+   {!Pair_buf} with no membership check at all.  [finish_batched] sorts
+   the buffer by packed pair key, drops duplicate pairs keeping the
+   first occurrence, and materializes the frozen CSR plus exact degrees
+   and significant-neighbor counts; a final sort by emission sequence
+   number replays the unique pairs in chronological order so every
+   adjacency vector receives its neighbors in exactly the order
+   [add_edge] on a dense graph would have pushed them.
 
-   Ordering argument: the incremental pass inserts an edge (and pushes
-   both adjacency entries) at the {e first} emission of its pair, and
-   within one definition enumerates candidates in ascending node index
-   — which is also {!Hier_set.iter}'s order.  The key sort is stable,
-   so first-of-run deduplication keeps precisely the first emission,
-   and the sequence-number replay restores the global chronological
-   order of those first emissions.  The two graphs are therefore
-   byte-identical: same edge set, same per-node neighbor order. *)
+   Ordering argument: [add_edge] inserts an edge (and pushes both
+   adjacency entries) at the {e first} emission of its pair.  The key
+   sort is stable, so first-of-run deduplication keeps precisely the
+   first emission, and the sequence-number replay restores the global
+   chronological order of those first emissions: same edge set, same
+   per-node neighbor order. *)
 
 let bits_needed v =
   let rec go b x = if x = 0 then b else go (b + 1) (x lsr 1) in
   go 0 v
 
-(* Phase one.  [seed live b] loads block [b]'s live-out into [live];
-   the sweep clears it again before the next block (O(members), via
-   the summaries).  Pair keys pack (hi, lo) with lo in the low
-   [shift] bits; payloads carry (emission sequence << 1) | dir with
-   dir = 1 iff the defining node is the pair's hi end. *)
-let batched_sweep n pmap (fl : Iloc.Flat.t) buf ~cls ~seed =
-  let shift = bits_needed (max (n - 1) 0) in
-  let live = Hier_set.create n in
-  let code = fl.Iloc.Flat.code in
-  let stride = Iloc.Flat.stride in
-  for b = 0 to Iloc.Flat.n_blocks fl - 1 do
-    seed live b;
-    for slot = Iloc.Flat.block_term fl b downto Iloc.Flat.block_first fl b do
-      let o = slot * stride in
-      let d = Array.unsafe_get code (o + Iloc.Flat.f_dst) in
-      if d >= 0 then begin
-        let di = Array.unsafe_get pmap d in
-        let skip =
-          if Iloc.Flat.Tag.is_copy (Array.unsafe_get code (o + Iloc.Flat.f_tag))
-          then Array.unsafe_get pmap (Array.unsafe_get code (o + Iloc.Flat.f_s0))
-          else -1
-        in
-        let dc = Char.unsafe_chr (d land 1) in
-        Hier_set.iter
-          (fun l ->
-            if Bytes.unsafe_get cls l = dc && l <> di && l <> skip then begin
-              let key, dir =
-                if l < di then (((di lsl shift) lor l), 1)
-                else (((l lsl shift) lor di), 0)
-              in
-              Pair_buf.push buf ~key ~pay:((Pair_buf.length buf lsl 1) lor dir)
-            end)
-          live;
-        Hier_set.remove live di
-      end;
-      for sk = Iloc.Flat.f_s0 to Iloc.Flat.f_s2 do
-        let p = Array.unsafe_get code (o + sk) in
-        if p >= 0 then Hier_set.add live (Array.unsafe_get pmap p)
-      done
-    done;
-    Hier_set.clear live
-  done;
-  shift
+(* Pair keys pack (hi, lo) with lo in the low [shift] bits; payloads
+   carry (emission sequence << 1) | dir with dir = 1 iff [d] is the
+   pair's hi end. *)
+let push_pair buf shift d l =
+  let key, dir =
+    if l < d then ((d lsl shift) lor l, 1) else ((l lsl shift) lor d, 0)
+  in
+  Pair_buf.push buf ~key ~pay:((Pair_buf.length buf lsl 1) lor dir)
 
-(* Phase two: sort, dedupe, freeze. *)
 let finish_batched ?on_pairs ?k regs n buf shift =
   Pair_buf.sort_by_key buf;
   let dupes = Pair_buf.dedupe_by_key buf in
@@ -421,8 +360,8 @@ let finish_batched ?on_pairs ?k regs n buf shift =
     Array.unsafe_set cols cl hi;
     Array.unsafe_set cursor lo (cl + 1)
   done;
-  (* Chronological replay: adjacency vectors in incremental insertion
-     order, each sized exactly. *)
+  (* Chronological replay: adjacency vectors in first-emission order,
+     each sized exactly. *)
   Pair_buf.sort_by_pay buf;
   let adj =
     Array.init n (fun i -> Int_vec.create ~cap:(Array.unsafe_get degree i) ())
@@ -436,11 +375,7 @@ let finish_batched ?on_pairs ?k regs n buf shift =
     Int_vec.push (Array.unsafe_get adj di) l;
     Int_vec.push (Array.unsafe_get adj l) di
   done;
-  let thresh =
-    match k with
-    | Some k -> Array.init n (fun i -> k (Reg.cls (Reg_index.reg regs i)))
-    | None -> Array.make n max_int
-  in
+  let thresh = thresholds ?k regs n in
   let sig_nb = Array.make n 0 in
   (match k with
   | None -> ()  (* thresholds are max_int: no node is ever significant *)
@@ -480,85 +415,24 @@ let finish_batched ?on_pairs ?k regs n buf shift =
     n_alive = n;
   }
 
-(* Per-node register class as a byte (the packed encoding's parity),
-   for the batched sweep's inline class filter. *)
-let class_bytes regs n =
-  let cls = Bytes.make (max n 1) '\000' in
-  Reg_index.iter
-    (fun i r -> Bytes.unsafe_set cls i (Char.unsafe_chr (Reg.hash r land 1)))
-    regs;
-  cls
-
-let build_flat ?matrix ?batch ?k (fl : Iloc.Flat.t)
-    (live : Dataflow.Liveness.t) =
-  let regs = live.Dataflow.Liveness.regs in
-  let n = Reg_index.count regs in
-  let batch = match batch with Some b -> b | None -> n > dense_node_limit in
-  if batch then begin
-    let pmap = Reg_index.packed_map regs in
-    let buf = Pair_buf.create () in
-    let seed hl b =
-      Bitset.iter (Hier_set.add hl) live.Dataflow.Liveness.live_out.(b)
-    in
-    let shift = batched_sweep n pmap fl buf ~cls:(class_bytes regs n) ~seed in
-    finish_batched ?k regs n buf shift
+(* The one place the node count picks the edge set.  [fill emit] hands
+   every candidate pair to [emit] (self-pairs excluded, duplicates
+   allowed); the result is the graph of those pairs. *)
+let assemble ?matrix ?pairs ?on_pairs ?k regs n fill =
+  if n <= dense_node_limit then begin
+    let t = make_dense ?matrix ?k regs n in
+    let emitted = ref 0 in
+    fill (fun d l ->
+        incr emitted;
+        add_edge t d l);
+    (match on_pairs with
+    | Some f ->
+        (* [add_edge] deduplicated at insertion: unique pairs = n_edges. *)
+        f ~emitted:!emitted ~dropped:(!emitted - t.n_edges)
+    | None -> ());
+    t
   end
   else begin
-  let t = make ?matrix ?k regs n in
-  let pmap = Reg_index.packed_map regs in
-  let int_mask = Bitset.create n and float_mask = Bitset.create n in
-  Reg_index.iter
-    (fun i r ->
-      match Reg.cls r with
-      | Reg.Int -> Bitset.unsafe_add int_mask i
-      | Reg.Float -> Bitset.unsafe_add float_mask i)
-    regs;
-  let candidates = Bitset.create n in
-  (* One reusable live_now row instead of a copy per block. *)
-  let live_now = Bitset.create n in
-  let code = fl.Iloc.Flat.code in
-  let stride = Iloc.Flat.stride in
-  for b = 0 to Iloc.Flat.n_blocks fl - 1 do
-    Bitset.assign ~dst:live_now live.Dataflow.Liveness.live_out.(b);
-    for slot = Iloc.Flat.block_term fl b downto Iloc.Flat.block_first fl b do
-      let o = slot * stride in
-      let d = Array.unsafe_get code (o + Iloc.Flat.f_dst) in
-      if d >= 0 then begin
-        let di = Array.unsafe_get pmap d in
-        let skip =
-          if Iloc.Flat.Tag.is_copy (Array.unsafe_get code (o + Iloc.Flat.f_tag))
-          then Array.unsafe_get pmap (Array.unsafe_get code (o + Iloc.Flat.f_s0))
-          else -1
-        in
-        Bitset.assign ~dst:candidates live_now;
-        ignore
-          (Bitset.inter_into ~dst:candidates
-             (if d land 1 = 0 then int_mask else float_mask));
-        Bitset.iter
-          (fun l -> if l <> di && l <> skip then add_edge t di l)
-          candidates;
-        Bitset.unsafe_remove live_now di
-      end;
-      for sk = Iloc.Flat.f_s0 to Iloc.Flat.f_s2 do
-        let p = Array.unsafe_get code (o + sk) in
-        if p >= 0 then Bitset.unsafe_add live_now (Array.unsafe_get pmap p)
-      done
-    done
-  done;
-  t
-  end
-
-let build_flat_boundary ?matrix ?pairs ?batch ?on_pairs ?k regs
-    (fl : Iloc.Flat.t) (bl : Dataflow.Liveness.Boundary.t) =
-  let n = Reg_index.count regs in
-  let batch = match batch with Some b -> b | None -> n > dense_node_limit in
-  let pmap = Reg_index.packed_map regs in
-  if batch then begin
-    let uindex = bl.Dataflow.Liveness.Boundary.uindex in
-    let unode =
-      Array.init (Reg_index.count uindex) (fun u ->
-          Array.unsafe_get pmap (Reg.hash (Reg_index.reg uindex u)))
-    in
     let buf =
       match pairs with
       | Some b ->
@@ -566,92 +440,78 @@ let build_flat_boundary ?matrix ?pairs ?batch ?on_pairs ?k regs
           b
       | None -> Pair_buf.create ()
     in
-    let seed hl b =
-      Bitset.iter
-        (fun u -> Hier_set.add hl (Array.unsafe_get unode u))
-        bl.Dataflow.Liveness.Boundary.live_out.(b)
-    in
-    let shift = batched_sweep n pmap fl buf ~cls:(class_bytes regs n) ~seed in
+    let shift = bits_needed (n - 1) in
+    fill (push_pair buf shift);
     finish_batched ?on_pairs ?k regs n buf shift
   end
-  else begin
-  let t = make ?matrix ?k regs n in
-  let emitted = ref 0 in
-  let int_mask = Bitset.create n and float_mask = Bitset.create n in
+
+let of_edges ?k n edges =
+  let regs =
+    Reg_index.of_regs (List.init n (fun i -> Reg.make i Reg.Int))
+  in
+  assemble ?k regs n (fun emit ->
+      List.iter (fun (i, j) -> if i <> j then emit i j) edges)
+
+(* Per-node register class as a byte (the packed encoding's parity),
+   for the sweep's inline class filter. *)
+let class_bytes regs n =
+  let cls = Bytes.make (max n 1) '\000' in
   Reg_index.iter
-    (fun i r ->
-      match Reg.cls r with
-      | Reg.Int -> Bitset.unsafe_add int_mask i
-      | Reg.Float -> Bitset.unsafe_add float_mask i)
+    (fun i r -> Bytes.unsafe_set cls i (Char.unsafe_chr (Reg.hash r land 1)))
     regs;
-  let candidates = Bitset.create n in
-  let live_now = Bitset.create n in
+  cls
+
+(* The sweep: one backward pass per block.  Live-now is a {!Hier_set}
+   seeded from the block's boundary live-out, so enumerating it at a
+   definition costs O(members), not O(n/64), and clearing it at the
+   block's end O(members) too.  Enumeration is ascending, the order
+   [add_edge] has always seen the candidates of one definition in. *)
+let build ?matrix ?pairs ?on_pairs ?k regs (fl : Iloc.Flat.t)
+    (bl : Dataflow.Liveness.Boundary.t) =
+  let n = Reg_index.count regs in
+  let pmap = Reg_index.packed_map regs in
   (* Boundary rows speak u-indices; node numbering speaks [regs]
      indices.  Every upward-exposed register occurs in the arena, so the
-     translation is total. *)
+     translation is total, and live-out can only mention upward-exposed
+     registers, so nothing is lost to the |U|-compression. *)
   let uindex = bl.Dataflow.Liveness.Boundary.uindex in
   let unode =
     Array.init (Reg_index.count uindex) (fun u ->
         Array.unsafe_get pmap (Reg.hash (Reg_index.reg uindex u)))
   in
-  let code = fl.Iloc.Flat.code in
-  let stride = Iloc.Flat.stride in
-  for b = 0 to Iloc.Flat.n_blocks fl - 1 do
-    let lout = bl.Dataflow.Liveness.Boundary.live_out.(b) in
-    (* Seeding through [unode] yields the same live_now bit-set the
-       dense row would assign: live_out can only mention upward-exposed
-       registers, so nothing is lost to the |U|-compression. *)
-    Bitset.iter
-      (fun u -> Bitset.unsafe_add live_now (Array.unsafe_get unode u))
-      lout;
-    let first = Iloc.Flat.block_first fl b in
-    let term = Iloc.Flat.block_term fl b in
-    for slot = term downto first do
-      let o = slot * stride in
-      let d = Array.unsafe_get code (o + Iloc.Flat.f_dst) in
-      if d >= 0 then begin
-        let di = Array.unsafe_get pmap d in
-        let skip =
-          if Iloc.Flat.Tag.is_copy (Array.unsafe_get code (o + Iloc.Flat.f_tag))
-          then Array.unsafe_get pmap (Array.unsafe_get code (o + Iloc.Flat.f_s0))
-          else -1
-        in
-        Bitset.assign ~dst:candidates live_now;
-        ignore
-          (Bitset.inter_into ~dst:candidates
-             (if d land 1 = 0 then int_mask else float_mask));
+  let cls = class_bytes regs n in
+  assemble ?matrix ?pairs ?on_pairs ?k regs n (fun emit ->
+      let live = Hier_set.create n in
+      let code = fl.Iloc.Flat.code in
+      let stride = Iloc.Flat.stride in
+      for b = 0 to Iloc.Flat.n_blocks fl - 1 do
         Bitset.iter
-          (fun l ->
-            if l <> di && l <> skip then begin
-              incr emitted;
-              add_edge t di l
-            end)
-          candidates;
-        Bitset.unsafe_remove live_now di
-      end;
-      for sk = Iloc.Flat.f_s0 to Iloc.Flat.f_s2 do
-        let p = Array.unsafe_get code (o + sk) in
-        if p >= 0 then Bitset.unsafe_add live_now (Array.unsafe_get pmap p)
-      done
-    done;
-    (* Clear live_now in O(block) rather than O(n/64): everything it can
-       hold is either a seeded live-out bit or an operand of this block,
-       and removing a clear bit is a no-op. *)
-    for slot = first to term do
-      let o = slot * stride in
-      for fd = Iloc.Flat.f_dst to Iloc.Flat.f_s2 do
-        let p = Array.unsafe_get code (o + fd) in
-        if p >= 0 then Bitset.unsafe_remove live_now (Array.unsafe_get pmap p)
-      done
-    done;
-    Bitset.iter
-      (fun u -> Bitset.unsafe_remove live_now (Array.unsafe_get unode u))
-      lout
-  done;
-  (match on_pairs with
-  | Some f ->
-      (* [add_edge] deduplicated at insertion: unique pairs = n_edges. *)
-      f ~emitted:!emitted ~dropped:(!emitted - t.n_edges)
-  | None -> ());
-  t
-  end
+          (fun u -> Hier_set.add live (Array.unsafe_get unode u))
+          bl.Dataflow.Liveness.Boundary.live_out.(b);
+        for slot = Iloc.Flat.block_term fl b downto Iloc.Flat.block_first fl b do
+          let o = slot * stride in
+          let d = Array.unsafe_get code (o + Iloc.Flat.f_dst) in
+          if d >= 0 then begin
+            let di = Array.unsafe_get pmap d in
+            (* Following Chaitin, a copy's destination does not
+               interfere with its source. *)
+            let skip =
+              if Iloc.Flat.Tag.is_copy (Array.unsafe_get code (o + Iloc.Flat.f_tag))
+              then Array.unsafe_get pmap (Array.unsafe_get code (o + Iloc.Flat.f_s0))
+              else -1
+            in
+            let dc = Char.unsafe_chr (d land 1) in
+            Hier_set.iter
+              (fun l ->
+                if Bytes.unsafe_get cls l = dc && l <> di && l <> skip then
+                  emit di l)
+              live;
+            Hier_set.remove live di
+          end;
+          for sk = Iloc.Flat.f_s0 to Iloc.Flat.f_s2 do
+            let p = Array.unsafe_get code (o + sk) in
+            if p >= 0 then Hier_set.add live (Array.unsafe_get pmap p)
+          done
+        done;
+        Hier_set.clear live
+      done)

@@ -1,13 +1,16 @@
 (** The interference graph, in Chaitin's dual representation (§2):
     an O(1)-membership edge set and adjacency vectors for iteration.
 
-    The edge set is the triangular bit matrix while the node count keeps
-    it affordable, and an open-addressing set of triangular indices
-    above {!dense_node_limit} — the matrix is quadratic in the live-range
-    count, the edge count near-linear in code size, so renumbered
-    million-instruction routines (~390k live ranges) would pay gigabytes
-    for matrix bits they never set.  Membership answers are identical
-    either way; nothing downstream can observe the representation.
+    One sweep builds every graph ({!build}); the node count picks the
+    edge set, in one place.  Up to {!dense_node_limit} nodes it is the
+    triangular bit matrix and each candidate pair goes straight into
+    {!add_edge}.  Above it the matrix would be quadratic in the
+    live-range count while the edge count stays near-linear in code
+    size (renumbered million-instruction routines reach ~390k live
+    ranges, a ~9.5 GB matrix), so the pairs are buffered, sorted and
+    frozen as a [Csr].  Membership answers and adjacency order are
+    identical either way; nothing downstream can observe the
+    representation.
 
     Nodes are the live ranges of a renumbered routine (one per register
     name).  An edge joins two live ranges that are simultaneously live at
@@ -22,7 +25,7 @@
     instead of forcing a from-scratch rebuild.  A merged-away node stays
     allocated (indices are stable) but is marked dead; {!find} chases the
     forward pointers left by merges to the current representative.
-    Adjacency vectors are kept deduplicated by the bit matrix, and
+    Adjacency vectors are kept deduplicated by the edge set, and
     [n_edges] is maintained as a counter under both {!add_edge} and
     {!merge}. *)
 
@@ -38,15 +41,14 @@ type csr = {
           never held; disjoint from the CSR by invariant *)
   mutable overlay_adds : int;  (** see {!overlay_edges} *)
 }
-(** The batched builder's frozen edge set: membership is a binary
+(** The edge set above {!dense_node_limit}: membership is a binary
     search of the sorted row plus, on miss, one overlay probe.
     Coalescing and spill rounds mutate through [dead]/[overlay] only —
     the arrays themselves are immutable and shared by {!copy}. *)
 
 type edges =
   | Dense of Dataflow.Bitset.t  (** triangular bit matrix *)
-  | Sparse of Dataflow.Hash_set.t  (** set of triangular indices *)
-  | Csr of csr  (** frozen sorted adjacency, from the batched builder *)
+  | Csr of csr  (** frozen sorted adjacency *)
 
 type t = {
   regs : Dataflow.Reg_index.t;
@@ -66,73 +68,58 @@ type t = {
 }
 
 val dense_node_limit : int
-(** Node count above which the incremental builders switch the edge set
-    from [Dense] to [Sparse], and {!build_flat}/{!build_flat_boundary}
-    default [?batch] to true (producing [Csr] edges). *)
+(** Node count above which a graph's edge set is a [Csr] instead of the
+    [Dense] matrix — for {!build} and {!of_edges} alike. *)
 
-val build_flat :
-  ?matrix:Dataflow.Bitset.t ->
-  ?batch:bool ->
-  ?k:(Iloc.Reg.cls -> int) ->
-  Iloc.Flat.t ->
-  Dataflow.Liveness.t ->
-  t
-(** One backward pass per block over the flat arena, seeded with the
-    block's dense live-out row, with one reused live-now row and no
-    per-instruction allocation.  [live] must come from
-    {!Dataflow.Liveness.compute_flat} on the same arena (the register
-    numbering is shared).  [matrix], when given, is a scratch buffer
-    from an earlier build: if the graph is dense and the buffer's
-    storage can hold the n(n−1)/2 triangular bits it is cleared and
-    recycled (via {!Dataflow.Bitset.view}) instead of allocating fresh —
-    the earlier graph must no longer be in use.  [batch] (default: node
-    count > {!dense_node_limit}) selects the batched two-phase builder;
-    see {!build_flat_boundary}. *)
-
-val build_flat_boundary :
+val build :
   ?matrix:Dataflow.Bitset.t ->
   ?pairs:Dataflow.Pair_buf.t ->
-  ?batch:bool ->
   ?on_pairs:(emitted:int -> dropped:int -> unit) ->
   ?k:(Iloc.Reg.cls -> int) ->
   Dataflow.Reg_index.t ->
   Iloc.Flat.t ->
   Dataflow.Liveness.Boundary.t ->
   t
-(** The flat pass fed by |U|-compressed boundary liveness instead of
-    dense rows: per block, the live-now set is seeded from the boundary
-    live-out (translated u-index → node index), so no structure wider
-    than [|U|] per block is ever materialized.  The node index must be
-    [Dataflow.Reg_index.of_flat] of the same arena — precisely what
-    {!Dataflow.Liveness.compute_flat} would build — and the boundary
-    must come from {!Dataflow.Liveness.Boundary.compute} on it; the
-    graph is then identical, edge order included, to {!build_flat} with
-    dense liveness.
+(** Chaitin's build phase over the flat arena: one backward pass per
+    block with a sparse live-now set seeded from the block's
+    |U|-compressed boundary live-out (translated u-index → node index),
+    so no structure wider than [|U|] per block is materialized.  At each
+    definition the live-now members of the defining class become
+    candidate pairs, the copy's source excepted.  The node index must be
+    [Dataflow.Reg_index.of_flat] of the same arena and the boundary must
+    come from {!Dataflow.Liveness.Boundary.compute} on it.
 
-    [batch] (default: node count > {!dense_node_limit}) selects the
-    batched two-phase builder: one sweep emits every candidate pair
-    into a {!Dataflow.Pair_buf} with no membership checks, then a
-    radix sort + stable first-occurrence dedupe freezes the edge set as
-    [Csr].  The result is byte-identical to the incremental build —
-    same edges {e and} same per-node neighbor order — with membership
-    probes and O(n/64) live-set scans gone from the sweep.  [pairs]
-    recycles a pair buffer across builds (ignored when incremental);
+    Up to {!dense_node_limit} nodes each pair goes to {!add_edge} on a
+    [Dense] graph; [matrix], when given, is a scratch buffer from an
+    earlier build, cleared and recycled (via {!Dataflow.Bitset.view})
+    when it can hold the n(n−1)/2 bits — the earlier graph must no
+    longer be in use.  Above the limit each pair goes into a
+    {!Dataflow.Pair_buf} with no membership check, and a radix sort +
+    stable first-occurrence dedupe freezes the edge set as [Csr];
+    [pairs] recycles that buffer across builds.  Either way every
+    adjacency vector lists its neighbors in first-emission order.
     [on_pairs] reports how many candidate pairs the sweep emitted and
-    how many were duplicates (both paths report it). *)
+    how many were duplicates.
+
+    This is the only builder.  It replaced [build_flat_boundary]; the
+    dense-row [build_flat] and the [?batch] switch that forced either
+    edge set are gone, and the test oracle [Reference.Graph] now reads
+    dense rows in their place. *)
 
 val of_edges : ?k:(Iloc.Reg.cls -> int) -> int -> (int * int) list -> t
 (** A graph over [n] fresh integer-class nodes with the given edges
-    (self-loops and duplicates ignored) — for tests and experiments. *)
+    (self-loops and duplicates ignored), its edge set chosen as in
+    {!build} — for tests and experiments. *)
 
 val interfere : t -> int -> int -> bool
 
 val scratch_matrix : t -> Dataflow.Bitset.t option
 (** The dense bit matrix, for recycling into a later build's [?matrix];
-    [None] when the graph is sparse or frozen CSR. *)
+    [None] when the edge set is a [Csr]. *)
 
 val overlay_edges : t -> int
 (** Total number of post-build edge insertions that landed in the
-    [Csr] overlay (0 for the other representations, and for edges that
+    [Csr] overlay (0 for a [Dense] graph, and for edges that
     merely resurrected a tombstoned built pair) — the measure of how
     far coalescing pushed the graph beyond its frozen build. *)
 

@@ -73,7 +73,7 @@ let run (_cfg : Iloc.Cfg.t) (vals : Values.t) =
     | Values.Def_instr { instr; _ } -> tags.(v) <- Tag.initial instr.op
     | Values.Def_phi _ -> tags.(v) <- Tag.Top
   done;
-  (* Sparse SSA edges, CSR in both directions: inputs.(v) are the values
+  (* The SSA def-use edges, CSR in both directions: inputs.(v) are the values
      v's tag is the meet of (copy source, φ arguments), consumers the
      transpose.  Built once into int arrays — the fixpoint below
      re-reads the input lists on every evaluation, so allocating them

@@ -554,6 +554,14 @@ let color_chordal (cfg : Cfg.t) (dom : Dataflow.Dominance.t)
           end)
         (Instr.uses i)
     done;
+    (* [live_now] is now the block's entry set.  A φ destination outside
+       it is dead from the entry point on — no use in the block, not
+       live out — so it gives its color back before the first
+       instruction, as a dead definition does after its own. *)
+    List.iter
+      (fun (p : Phi.t) ->
+        if not (Reg.Set.mem p.Phi.dst !live_now) then set p.Phi.dst false)
+      b.Block.phis;
     (* Forward assignment: free dying sources, then color the
        definition — biased toward a copy source's color. *)
     for idx = 0 to n - 1 do
@@ -584,12 +592,13 @@ let color_chordal (cfg : Cfg.t) (dom : Dataflow.Dominance.t)
 (* ------------------------------------------------------------------ *)
 (* The pipeline                                                        *)
 
-let run ~mode ~machine ~max_rounds ~stats (cfg0 : Cfg.t) =
+let run ~mode ~machine ~max_rounds ~stats (input : Cfg.t) =
   let k = Machine.k_for machine in
-  let dom, loops =
+  let cfg0, dom, loops =
     Stats.time stats ~round:0 Stats.Cfa (fun () ->
+        let cfg0 = Cfg.split_critical_edges input in
         let dom = Dataflow.Dominance.compute cfg0 in
-        (dom, Dataflow.Loops.compute cfg0 dom))
+        (cfg0, dom, Dataflow.Loops.compute cfg0 dom))
   in
   (* SSA construction, value analysis, tag propagation.  Construct adds
      φs but never blocks or edges, so dominance and loop weights stay

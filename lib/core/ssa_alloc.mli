@@ -101,8 +101,9 @@ val run :
   stats:Stats.t ->
   Iloc.Cfg.t ->
   result
-(** [run ~mode ~machine ~max_rounds ~stats cfg0] allocates [cfg0]
-    (already validated and critical-edge-split; not mutated).  Raises
+(** [run ~mode ~machine ~max_rounds ~stats input] allocates [input]
+    (already validated; not mutated), splitting its critical edges
+    first — timed, with dominance and loops, as round 0's [Cfa].  Raises
     {!Spill_code.Pressure_too_high} when some program point's
     irreducible pressure (instruction operands, φ-congruence traffic)
     exceeds the machine, and {!Allocator.Allocation_error} via the

@@ -3,11 +3,12 @@
 
     The allocator records one timing row per (round, phase) execution;
     [rows] returns them in execution order.  Phase names match the
-    allocator pipeline: [cfa] (control-flow analysis: dominators,
-    frontiers, loops), [renum], [split] (the §6 loop-splitting schemes),
-    [live] (liveness), [build] (one from-scratch interference-graph
-    construction), [coalesce] (the in-place coalescing sweeps), [costs],
-    [simplify], [select], [spill] (spill-code insertion).
+    allocator pipeline: [cfa] (control-flow analysis: critical-edge
+    splitting, dominators, frontiers, loops), [renum], [split] (the §6
+    loop-splitting schemes), [live] (liveness), [build] (one
+    from-scratch interference-graph construction), [coalesce] (the
+    in-place coalescing sweeps), [costs], [simplify], [select], [spill]
+    (spill-code insertion).
 
     Orthogonal to the timers, integer {e event counters} record how often
     structural events happened per round — most importantly

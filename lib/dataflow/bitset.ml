@@ -137,11 +137,6 @@ let copy t =
   Bytes.blit t.words t.off words 0 nb;
   { words; off = 0; capacity = t.capacity }
 
-let assign ~dst src =
-  if dst.capacity <> src.capacity then
-    invalid_arg "Bitset.assign: capacity mismatch";
-  Bytes.blit src.words src.off dst.words dst.off (used_bytes src.capacity)
-
 let equal a b =
   a.capacity = b.capacity
   &&

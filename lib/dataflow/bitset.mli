@@ -60,10 +60,6 @@ val cardinal : t -> int
 val clear : t -> unit
 val copy : t -> t
 
-val assign : dst:t -> t -> unit
-(** [assign ~dst src] sets [dst := src] without allocating (a word
-    blit).  The capacities must match. *)
-
 val equal : t -> t -> bool
 
 val union_into : dst:t -> t -> bool

@@ -30,13 +30,6 @@ val compute : ?order:int array -> Iloc.Cfg.t -> t
     {!Order.postorder}; callers that hold one (the allocation context
     caches it across coalescing rounds) pass it to skip the DFS. *)
 
-val compute_flat : ?order:int array -> Iloc.Flat.t -> t
-(** Same analysis over the flat arena form: one sweep over the packed
-    code array builds [ue]/[kill] with zero per-instruction allocation,
-    and all four row families live in {!Bitset.slab}s (one major-heap
-    buffer each).  The resulting sets are bit-identical to {!compute} of
-    the bridged routine; [order] is {!Order.postorder_flat}. *)
-
 val live_in : t -> int -> Iloc.Reg.t list
 val live_out : t -> int -> Iloc.Reg.t list
 val live_in_mem : t -> int -> Iloc.Reg.t -> bool
@@ -97,7 +90,7 @@ end
     nothing; for generated million-instruction routines [|U|] is three
     orders of magnitude below the register count, which is what makes
     boundary liveness at that scale feasible at all.  The sets equal
-    {!compute_flat}'s reindexed through [uindex]. *)
+    {!compute}'s on the bridged routine, reindexed through [uindex]. *)
 module Boundary : sig
   type nonrec t = {
     uindex : Reg_index.t;

@@ -31,23 +31,33 @@ let find_label t l =
   | Some b -> b.id
   | None -> invalid_arg (Printf.sprintf "Cfg.find_label: %s" l)
 
-let compute_edges blocks =
+let label_lookup blocks =
   let tbl = label_table blocks in
+  fun l ->
+    match Hashtbl.find_opt tbl l with
+    | Some b -> b
+    | None -> invalid_arg (Printf.sprintf "Cfg: dangling label %s" l)
+
+let label_index t = label_lookup t.blocks
+
+let compute_edges blocks =
+  let find = label_lookup blocks in
   let n = Array.length blocks in
   let succs = Array.make n [] and preds = Array.make n [] in
   Array.iter
     (fun (b : Block.t) ->
+      (* Ascending and unique: a cbr with both arms equal yields a
+         single CFG edge.  Terminators name at most two targets, so the
+         common shapes skip the general sort. *)
       let ts =
-        List.map
-          (fun l ->
-            match Hashtbl.find_opt tbl l with
-            | Some i -> i
-            | None ->
-                invalid_arg (Printf.sprintf "Cfg: dangling label %s" l))
-          (Instr.targets b.term)
+        match Instr.targets b.term with
+        | [] -> []
+        | [ l ] -> [ find l ]
+        | [ l1; l2 ] ->
+            let i = find l1 and j = find l2 in
+            if i = j then [ i ] else if i < j then [ i; j ] else [ j; i ]
+        | ls -> List.sort_uniq Int.compare (List.map find ls)
       in
-      (* A cbr with both arms equal yields a single CFG edge. *)
-      let ts = List.sort_uniq Int.compare ts in
       succs.(b.id) <- ts;
       List.iter (fun s -> preds.(s) <- b.id :: preds.(s)) ts)
     blocks;
@@ -68,10 +78,13 @@ let iter_instrs f t =
 let max_reg_id t =
   let m = ref 0 in
   let see (r : Reg.t) = if Reg.id r > !m then m := Reg.id r in
+  (* Operands read in place: every [make] (hence every critical-edge
+     split) runs this over the whole routine, so no per-instruction
+     [defs]/[uses] lists. *)
   iter_instrs
-    (fun _ i ->
-      List.iter see (Instr.defs i);
-      List.iter see (Instr.uses i))
+    (fun _ (i : Instr.t) ->
+      Option.iter see i.dst;
+      Array.iter see i.srcs)
     t;
   Array.iter
     (fun (b : Block.t) ->
@@ -176,6 +189,7 @@ let split_critical_edges t =
   if in_ssa t then invalid_arg "Cfg.split_critical_edges: routine is in SSA";
   let t = drop_unreachable t in
   let n = n_blocks t in
+  let find_label = label_index t in
   let next_id = ref n in
   let extra = ref [] in
   let blocks =
@@ -195,7 +209,7 @@ let split_critical_edges t =
           blocks.(b.id) <- { (blocks.(b.id)) with term = Instr.jmp l1 }
       | Instr.Cbr (l1, l2) ->
           let maybe_split l =
-            let target = find_label t l in
+            let target = find_label l in
             if List.length t.preds.(target) > 1 then (
               let id = !next_id in
               incr next_id;
@@ -208,11 +222,12 @@ let split_critical_edges t =
             else l
           in
           let l1' = maybe_split l1 and l2' = maybe_split l2 in
-          blocks.(b.id) <-
-            { (blocks.(b.id)) with term = Instr.cbr b.term.srcs.(0) l1' l2' }
+          if l1' != l1 || l2' != l2 then
+            blocks.(b.id) <-
+              { (blocks.(b.id)) with term = Instr.cbr b.term.srcs.(0) l1' l2' }
       | _ -> ())
     t.blocks;
-  let all = Array.to_list blocks @ List.rev !extra in
+  let all = Array.fold_right List.cons blocks (List.rev !extra) in
   let cfg = make ~name:t.name ~symbols:t.symbols all in
   cfg
 

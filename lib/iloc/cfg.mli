@@ -28,6 +28,14 @@ val entry_block : t -> Block.t
 val succs : t -> int -> int list
 val preds : t -> int -> int list
 val find_label : t -> string -> int
+(** Block id of a label, by a scan over the blocks. *)
+
+val label_index : t -> string -> int
+(** [label_index t] hashes every label once and returns the lookup, so
+    a pass resolving many labels pays O(1) per label instead of
+    {!find_label}'s scan.  The lookup sees the blocks as they were when
+    it was made. *)
+
 val rebuild_edges : t -> unit
 
 val iter_blocks : (Block.t -> unit) -> t -> unit

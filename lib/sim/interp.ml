@@ -108,7 +108,15 @@ let run ?(fuel = 50_000_000) ?(on_block = fun _ -> ()) (cfg : Iloc.Cfg.t) =
       fail "store to invalid address %d" addr;
     layout.cells.(addr) <- Some v
   in
-  let block_of_label l = Iloc.Cfg.find_label cfg l in
+  (* Each block's branch targets, resolved once: a taken branch is then
+     an array read, not a label lookup. *)
+  let targets =
+    let block_of_label = Iloc.Cfg.label_index cfg in
+    Array.map
+      (fun (b : Iloc.Block.t) ->
+        Array.of_list (List.map block_of_label (Instr.targets b.term)))
+      cfg.blocks
+  in
   let return = ref None in
   let running = ref true in
   let pc_block = ref cfg.entry in
@@ -170,9 +178,11 @@ let run ?(fuel = 50_000_000) ?(on_block = fun _ -> ()) (cfg : Iloc.Cfg.t) =
         match Hashtbl.find_opt frame slot with
         | Some v -> set (dst ()) v
         | None -> fail "reload from uninitialized spill slot %d" slot)
-    | Instr.Jmp l -> pc_block := block_of_label l
-    | Instr.Cbr (l1, l2) ->
-        pc_block := block_of_label (if geti (s0 ()) <> 0 then l1 else l2)
+    (* Branches only terminate blocks, so [!pc_block] is the block whose
+       terminator this is. *)
+    | Instr.Jmp _ -> pc_block := targets.(!pc_block).(0)
+    | Instr.Cbr _ ->
+        pc_block := targets.(!pc_block).(if geti (s0 ()) <> 0 then 0 else 1)
     | Instr.Ret ->
         running := false;
         if Array.length i.srcs = 1 then return := Some (getv (s0 ()))

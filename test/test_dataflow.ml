@@ -475,7 +475,7 @@ let k_crossing_routine k =
 
 let boundary_agrees what cfg =
   let fl = Iloc.Flat.of_routine cfg in
-  let dense = Dataflow.Liveness.compute_flat fl in
+  let dense = Reference.Liveness_flat.compute fl in
   let bound = Dataflow.Liveness.Boundary.compute fl in
   let regs = Cfg.all_regs cfg in
   for b = 0 to Cfg.n_blocks cfg - 1 do

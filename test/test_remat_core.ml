@@ -359,7 +359,7 @@ let interference_unit =
         done);
     tc "sparse edge set is representation-transparent" (fun () ->
         (* The same edge list through a graph small enough for the bit
-           matrix and one node past the sparse threshold: every
+           matrix and one node past [dense_node_limit]: every
            observable — membership, degrees, adjacency order, merge
            results — must be identical on the shared nodes. *)
         let edges =
@@ -375,7 +375,7 @@ let interference_unit =
         in
         check Alcotest.bool "small is dense" true
           (Option.is_some (Remat.Interference.scratch_matrix small));
-        check Alcotest.bool "big is sparse" true
+        check Alcotest.bool "big is not dense" true
           (Option.is_none (Remat.Interference.scratch_matrix big));
         check Alcotest.int "edge count"
           (Remat.Interference.n_edges small)
@@ -795,6 +795,86 @@ let trivial_coloring_prop =
       let sel = Remat.Select.run g ~k ~order ~partners in
       sel.Remat.Select.spilled = [])
 
+(* The same edges, then the same random mutation sequence, on a graph
+   small enough for the bit matrix (60 nodes) and on one a node past
+   [dense_node_limit], whose edges are a frozen [Csr]: removals
+   tombstone built pairs, re-additions resurrect them, new pairs land in
+   the overlay.  Every observable on the 60 shared nodes must agree
+   after every step — membership, degrees, significant-neighbor counts,
+   adjacency in vector order, liveness and representatives. *)
+type graph_op = Add of int * int | Remove of int * int | Merge of int * int
+
+let graph_op_gen =
+  QCheck.Gen.(
+    let node = int_bound 59 in
+    frequency
+      [
+        (4, map2 (fun i j -> Add (i, j)) node node);
+        (3, map2 (fun i j -> Remove (i, j)) node node);
+        (1, map2 (fun i j -> Merge (i, j)) node node);
+      ])
+
+let show_graph_op = function
+  | Add (i, j) -> Printf.sprintf "add %d %d" i j
+  | Remove (i, j) -> Printf.sprintf "remove %d %d" i j
+  | Merge (i, j) -> Printf.sprintf "merge %d <- %d" i j
+
+let dense_csr_mutation_prop =
+  QCheck.Test.make ~count:60
+    ~name:"Dense and Csr edge sets agree under add/remove/merge"
+    (QCheck.make
+       ~print:(fun (edges, ops) ->
+         Printf.sprintf "edges: %s
+ops: %s"
+           (String.concat " "
+              (List.map (fun (i, j) -> Printf.sprintf "%d-%d" i j) edges))
+           (String.concat "; " (List.map show_graph_op ops)))
+       QCheck.Gen.(
+         pair
+           (list_size (int_bound 150) (pair (int_bound 59) (int_bound 59)))
+           (list_size (int_bound 40) graph_op_gen)))
+    (fun (edges, ops) ->
+      let module G = Remat.Interference in
+      let k _ = 4 in
+      let small = G.of_edges ~k 60 edges in
+      let big = G.of_edges ~k (G.dense_node_limit + 1) edges in
+      (match (small.G.edges, big.G.edges) with
+      | G.Dense _, G.Csr _ -> ()
+      | _ -> QCheck.Test.fail_report "expected a Dense and a Csr edge set");
+      let observe g =
+        List.init 60 (fun i ->
+            ( G.alive g i,
+              G.find g i,
+              G.degree g i,
+              G.sig_neighbors g i,
+              G.neighbors g i,
+              List.init 60 (fun j -> G.interfere g i j) ))
+      in
+      let step what =
+        if observe small <> observe big || G.n_edges small <> G.n_edges big
+        then QCheck.Test.fail_reportf "graphs differ after %s" what
+      in
+      step "the build";
+      List.iter
+        (fun op ->
+          (match op with
+          | Add (i, j) | Remove (i, j) ->
+              (* The allocator only edits edges between alive nodes. *)
+              let i = G.find small i and j = G.find small j in
+              List.iter
+                (fun g ->
+                  match op with
+                  | Add _ -> G.add_edge g i j
+                  | _ -> G.remove_edge g i j)
+                [ small; big ]
+          | Merge (keep, drop) ->
+              let keep = G.find small keep and drop = G.find small drop in
+              if keep <> drop then
+                List.iter (fun g -> G.merge g ~keep ~drop) [ small; big ]);
+          step (show_graph_op op))
+        ops;
+      true)
+
 let () =
   Alcotest.run "remat-core"
     [
@@ -807,5 +887,10 @@ let () =
       ("splitting", splitting_unit);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ interference_prop; coloring_prop; trivial_coloring_prop ] );
+          [
+            interference_prop;
+            dense_csr_mutation_prop;
+            coloring_prop;
+            trivial_coloring_prop;
+          ] );
     ]

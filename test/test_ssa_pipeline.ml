@@ -26,7 +26,7 @@ let ssa_configs =
 let ssa_run ~mode ~(machine : Remat.Machine.t) cfg =
   Remat.Ssa_alloc.run ~mode ~machine ~max_rounds:64
     ~stats:(Remat.Stats.create ())
-    (Cfg.split_critical_edges cfg)
+    cfg
 
 (* The full per-config obligation, one generated routine at a time:
    allocation succeeds, output is a valid φ-free routine within k, the
@@ -305,6 +305,82 @@ let directed =
           (names rows.Liveness.Ssa.live_out.(0));
         let mi, _ = Liveness.Ssa.max_live ~cap cfg rows in
         check Alcotest.int "join MaxLive" 3 mi.(2));
+    tc "a dead φ destination gives its color back at block entry"
+      (fun () ->
+        (* Reduced from a generated routine: after optimization and SSA
+           construction a φ destination is dead at its block's entry.
+           Held for the whole block, its color pushed a later definition
+           one color past MaxLive. *)
+        let cfg =
+          Opt.Pipeline.run
+            (Iloc.Parser.routine
+               {|
+       routine fuzz_902528702
+       data wf[8] = f{ 0x1p-1 0x1.8p+0 0x1.4p+1 0x1.cp+1 0x1.2p+2 0x1.6p+2 0x1.ap+2 0x1.ep+2 }
+       data const ro[8] = { -4 7 18 29 40 51 62 73 }
+       entry:
+         r3 <- ldi 0
+         r4 <- ldi 0
+         r6 <- ldi 0
+         r7 <- ldi 0
+         r1 <- ldi 0
+         jmp head1
+       head1:
+         r2 <- ldi 0
+         cbr r2 body2 exit3
+       body2:
+         r4 <- cmp_ne r6 r4
+         cbr r4 then4 else5
+       then4:
+         r4 <- cmp_lt r3 r6
+         f9 <- itof r2
+         jmp join6
+       else5:
+         f9 <- lfi 0x0p+0
+         r7 <- copy r7
+         r1 <- add r3 r3
+         jmp join6
+       join6:
+         r2 <- laddr @wf
+         storei f9 -> r2 0
+         jmp head1
+       exit3:
+         r2 <- addi r1 0
+         r5 <- sub r7 r3
+         jmp head10
+       head10:
+         r24 <- ldi 0
+         r1 <- cmp_gt r4 r24
+         cbr r1 body11 head16
+       body11:
+         r1 <- ldi 0
+         cbr r1 head10 head10
+       head16:
+         r4 <- ldi 0
+         r1 <- cmp_gt r2 r4
+         cbr r1 body17 exit18
+       body17:
+         r3 <- ldro @ro 0
+         r7 <- mul r6 r5
+         jmp join21
+       join21:
+         r2 <- subi r2 0
+         jmp head16
+       exit18:
+         r1 <- add r2 r4
+         r1 <- mul r1 r7
+         print r3
+         ret r1
+|})
+        in
+        let r =
+          ssa_run ~mode:Remat.Mode.Ssa_remat ~machine:Fuzz.Oracle.tight cfg
+        in
+        check Alcotest.bool "int colors within MaxLive" true
+          (r.Remat.Ssa_alloc.max_colors_int <= r.Remat.Ssa_alloc.max_live_int);
+        check Alcotest.bool "float colors within MaxLive" true
+          (r.Remat.Ssa_alloc.max_colors_float
+          <= r.Remat.Ssa_alloc.max_live_float));
     tc "incremental allocation declines SSA modes" (fun () ->
         let cfg = Testutil.counted_loop () in
         let snap =

@@ -204,7 +204,7 @@ let renumber mode cfg =
    it: boundary liveness of the arena fed to the flat builder. *)
 let graph ?k cfg =
   let fl = Iloc.Flat.of_routine cfg in
-  Remat.Interference.build_flat_boundary ?k
+  Remat.Interference.build ?k
     (Dataflow.Reg_index.of_flat fl)
     fl
     (Dataflow.Liveness.Boundary.compute fl)
